@@ -37,6 +37,7 @@ from .resolve import (
     DEFAULT_PD_CAP,
     OrderedPartition,
     check_resolving_partition,
+    check_resolving_set,
     metric_dimension_exact,
     partition_dimension_exact,
 )
@@ -212,12 +213,13 @@ def _cmd_exact(args: argparse.Namespace, which: str) -> int:
     dm = all_pairs_distances(g)
     if which == "dim":
         value, witness = metric_dimension_exact(dm, cap=args.dim_cap)
+        if not check_resolving_set(dm, witness).resolving:
+            raise UdimError("internal error: solver witness failed re-verification")
         payload = {"dim": value, "witness": sorted(witness)}
         text = f"dim = {value}\nwitness = {sorted(witness)}"
     else:
         value, partition = partition_dimension_exact(dm, cap=args.pd_cap)
-        recheck = check_resolving_partition(dm, partition)
-        if not recheck.resolving:
+        if not check_resolving_partition(dm, partition).resolving:
             raise UdimError("internal error: solver witness failed re-verification")
         payload = {"pd": value, "witness": partition.to_lists()}
         text = f"pd = {value}\nwitness = {partition.to_lists()}"

@@ -30,7 +30,6 @@ from .resolve import (
     OrderedPartition,
     check_resolving_partition,
     check_resolving_set,
-    partition_dimension_exact,
 )
 
 
@@ -129,8 +128,8 @@ def pendant_resolving_set(u: UnicyclicGraph) -> CertifiedConstruction:
 def cycle_partition(u: UnicyclicGraph) -> CertifiedConstruction:
     """A 3-part resolving partition of a cycle graph.
 
-    Uses {c0}, the arc c1..c(n//2), and the remaining arc; if the checker
-    ever rejected it, the exact solver's optimum would be returned instead.
+    Uses {c0}, the arc c1..c(n//2), and the remaining arc; a checker
+    rejection is reported in the certificate like any other construction.
     """
     if not u.is_cycle_graph():
         raise PreconditionError("graph is not a cycle")
@@ -141,12 +140,7 @@ def cycle_partition(u: UnicyclicGraph) -> CertifiedConstruction:
         set(cyc[1 : n // 2 + 1]),
         set(cyc[n // 2 + 1 :]),
     ]
-    dm = all_pairs_distances(u.graph)
-    cert = _certify_partition("cycle-partition", dm, parts, 3)
-    if cert.verified:
-        return cert
-    _, witness = partition_dimension_exact(dm)
-    return _certify_partition("cycle-partition", dm, [set(p) for p in witness.parts], 3)
+    return _certify_partition("cycle-partition", all_pairs_distances(u.graph), parts, 3)
 
 
 def _branch_sets(g, cycle_order: list[int]) -> list[set[int]]:

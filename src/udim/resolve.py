@@ -2,10 +2,12 @@
 
 The checkers are deliberately simple and independent of the solvers; every
 construction in the package is post-verified through them.  The exact
-partition-dimension solver enumerates unordered set partitions with exactly
-t blocks as restricted-growth strings (resolvability is invariant under
-reordering blocks, so unordered enumeration is sound) and evaluates them in
-vectorized batches.
+partition-dimension solver has one engine.  It streams the unordered set
+partitions with exactly t blocks as restricted-growth strings in
+lexicographic order (resolvability is invariant under reordering blocks, so
+unordered enumeration is sound), in numpy blocks of bounded size built from
+cached completions of short prefixes, and evaluates each block with one
+vectorized pairwise-tie test.  The first resolving string is the witness.
 """
 
 from __future__ import annotations
@@ -23,12 +25,10 @@ from .graphs import DistanceMatrix
 DEFAULT_DIM_CAP = 16
 DEFAULT_PD_CAP = 12
 
-# Full restricted-growth-string arrays are cached per (n, t) because the
-# enumeration is graph independent; the budget keeps the cache modest.
-_RGS_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_RGS_CACHE_BUDGET = 192 * 1024 * 1024
-_VECTOR_ROW_LIMIT = 4_000_000
-_CHUNK = 8192
+# Rows per block of restricted-growth strings handed to the evaluator (fewer
+# above DEFAULT_PD_CAP); it bounds the solver's working memory whatever the
+# number of partitions.
+_BLOCK = 1024
 _SENTINEL = np.int16(32000)
 
 
@@ -181,15 +181,6 @@ def metric_dimension_exact(
 # -- exact partition dimension -------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _stirling2(n: int, t: int) -> int:
-    if t <= 0 or t > n:
-        return 0
-    if t == n or t == 1:
-        return 1
-    return t * _stirling2(n - 1, t) + _stirling2(n - 1, t - 1)
-
-
 def _pd_lower_bound(dm: DistanceMatrix) -> int:
     """Sound lower bound on pd from twin classes.
 
@@ -209,73 +200,92 @@ def _pd_lower_bound(dm: DistanceMatrix) -> int:
     return max(2, biggest)
 
 
-def _rgs_stream(n: int, t: int) -> Iterator[list[int]]:
-    """Lexicographic restricted-growth strings of length n with exactly t blocks.
+@lru_cache(maxsize=None)
+def _completions(s: int, mx: int, t: int) -> np.ndarray:
+    """Every length-s tail that takes an RGS prefix with maximum label mx to
+    exactly t blocks, in lexicographic order (read-only, cached; the dtype is
+    the smallest unsigned one that holds every label, so t may exceed 256).
 
-    Yields one shared buffer; consumers must copy anything they keep.
+    The tails are built column by column: each row branches into the labels
+    0..mx+1 (capped at t-1), and rows that can no longer reach t blocks in
+    the positions left are dropped.
     """
-    a = [0] * n
-
-    def rec(i: int, mx: int) -> Iterator[list[int]]:
-        if i == n:
-            yield a
-            return
-        remaining = n - 1 - i
-        hi = min(mx + 1, t - 1)
-        for val in range(hi + 1):
-            new_mx = mx if val <= mx else val
-            if t - 1 - new_mx <= remaining:
-                a[i] = val
-                yield from rec(i + 1, new_mx)
-
-    yield from rec(1, 0)
-
-
-def _rgs_array(n: int, t: int) -> np.ndarray:
-    """Vectorized construction of all exactly-t-block RGS, in lexicographic order."""
-    key = (n, t)
-    cached = _RGS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    arr = np.zeros((1, 1), dtype=np.uint8)
-    mx = np.zeros(1, dtype=np.int64)
-    for i in range(1, n):
-        remaining = n - 1 - i
-        opts = np.minimum(mx + 2, t)
-        total = int(opts.sum())
+    label = np.min_scalar_type(t - 1)
+    arr = np.zeros((1, 0), dtype=label)
+    top = np.full(1, mx, dtype=np.int64)
+    for i in range(s):
+        remaining = s - 1 - i
+        opts = np.minimum(top + 2, t)
         rep = np.repeat(np.arange(arr.shape[0]), opts)
-        starts = np.repeat(np.cumsum(opts) - opts, opts)
-        vals = np.arange(total, dtype=np.int64) - starts
-        new_mx = np.maximum(mx[rep], vals)
-        keep = (t - 1 - new_mx) <= remaining
-        rep = rep[keep]
-        arr = np.concatenate([arr[rep], vals[keep, None].astype(np.uint8)], axis=1)
-        mx = new_mx[keep]
-    size = arr.nbytes
-    if size <= _RGS_CACHE_BUDGET:
-        while _RGS_CACHE and sum(a.nbytes for a in _RGS_CACHE.values()) + size > _RGS_CACHE_BUDGET:
-            _RGS_CACHE.pop(next(iter(_RGS_CACHE)))
-        _RGS_CACHE[key] = arr
+        vals = np.arange(rep.size) - np.repeat(np.cumsum(opts) - opts, opts)
+        new_top = np.maximum(top[rep], vals)
+        keep = (t - 1 - new_top) <= remaining
+        arr = np.concatenate([arr[rep[keep]], vals[keep, None].astype(label)], axis=1)
+        top = new_top[keep]
+    arr = arr[top == t - 1]
+    arr.flags.writeable = False
     return arr
 
 
-def _eval_rgs_chunk(chunk: np.ndarray, dist: np.ndarray, t: int, base: int) -> int:
-    """Index of the first resolving partition in the chunk, or -1.
+def _rgs_blocks(n: int, t: int) -> Iterator[np.ndarray]:
+    """Every restricted-growth string of length n with exactly t blocks, in
+    lexicographic order, as arrays of at most _BLOCK rows.
 
-    Each row's block-distance vectors are packed into integers base^j per
-    coordinate; a partition resolves iff its n packed codes are distinct.
+    Above the default cap the row limit shrinks with n**2, so that the
+    evaluator's rows x n x n temporaries never outgrow those at n = 12.
+    Prefix positions are fixed one at a time until the t**s bound on the
+    tails of the s positions left is within the limit; each prefix followed
+    by its cached completions is one piece.  A piece can be far smaller than
+    its bound, so consecutive pieces are packed into one block, up to the
+    limit and up to the number of rows already yielded.  Blocks thus grow
+    from the first piece, and a search that stops early evaluates at most
+    twice the rows it needed plus one piece.
     """
-    m, n = chunk.shape
-    codes = np.zeros((m, n), dtype=np.int64)
+    limit = max(1, min(_BLOCK, _BLOCK * DEFAULT_PD_CAP**2 // n**2))
+    prefix = [0]
+
+    def pieces(mx: int) -> Iterator[np.ndarray]:
+        s = n - len(prefix)
+        if t**s <= limit:
+            tails = _completions(s, mx, t)
+            piece = np.empty((tails.shape[0], n), dtype=tails.dtype)
+            piece[:, : n - s] = prefix
+            piece[:, n - s :] = tails
+            yield piece
+            return
+        for val in range(min(mx + 1, t - 1) + 1):
+            new_mx = max(mx, val)
+            if t - 1 - new_mx <= s - 1:
+                prefix.append(val)
+                yield from pieces(new_mx)
+                prefix.pop()
+
+    pending: list[np.ndarray] = []
+    rows = done = 0
+    for piece in pieces(0):
+        if pending and (rows + piece.shape[0] > limit or rows > done):
+            yield np.concatenate(pending)
+            pending, rows, done = [], 0, done + rows
+        pending.append(piece)
+        rows += piece.shape[0]
+    yield np.concatenate(pending)
+
+
+def _eval_block(block: np.ndarray, dist: np.ndarray, t: int) -> int:
+    """Index of the first resolving partition in the block, or -1.
+
+    A partition resolves iff no two vertices are tied on every block
+    distance; each row keeps a "still tied" flag per vertex pair u < v and
+    ANDs in the equality of the pair's distances to block j, for every j.
+    """
+    m, n = block.shape
+    us, vs = np.triu_indices(n, 1)
+    tied = np.ones((m, us.size), dtype=bool)
     for j in range(t):
-        mask = chunk == j
-        spread = np.where(mask[:, :, None], dist[None, :, :], _SENTINEL)
-        codes = codes * base + spread.min(axis=1)
-    codes.sort(axis=1)
-    ok = (codes[:, 1:] != codes[:, :-1]).all(axis=1)
-    if not ok.any():
-        return -1
-    return int(np.argmax(ok))
+        d = np.where((block == j)[:, :, None], dist, _SENTINEL).min(axis=1)
+        tied &= d[:, us] == d[:, vs]
+    ok = ~tied.any(axis=1)
+    return int(np.argmax(ok)) if ok.any() else -1
 
 
 def _blocks_from_rgs(rgs: Sequence[int], t: int) -> list[list[int]]:
@@ -285,61 +295,29 @@ def _blocks_from_rgs(rgs: Sequence[int], t: int) -> list[list[int]]:
     return blocks
 
 
-def _first_resolving_python(dm: DistanceMatrix, n: int, t: int) -> list[list[int]] | None:
-    rows = [tuple(r) for r in dm]
-    for rgs in _rgs_stream(n, t):
-        blocks = _blocks_from_rgs(rgs, t)
-        seen: set[tuple[int, ...]] = set()
-        for v in range(n):
-            row = rows[v]
-            key = tuple(min(row[u] for u in blk) for blk in blocks)
-            if key in seen:
-                break
-            seen.add(key)
-        else:
-            return blocks
-    return None
-
-
-def _first_resolving_vectorized(
-    dm_np: np.ndarray, n: int, t: int, base: int
-) -> list[list[int]] | None:
-    arr = _rgs_array(n, t)
-    for start in range(0, arr.shape[0], _CHUNK):
-        chunk = arr[start : start + _CHUNK]
-        idx = _eval_rgs_chunk(chunk, dm_np, t, base)
-        if idx >= 0:
-            return _blocks_from_rgs(chunk[idx], t)
-    return None
-
-
 def partition_dimension_exact(
     dm: DistanceMatrix, cap: int = DEFAULT_PD_CAP
 ) -> tuple[int, OrderedPartition]:
     """Smallest resolving partition, enumerating block counts ascending.
 
-    The returned partition is the first resolving one in restricted-growth
-    order for the minimal t, with parts ordered by smallest element.  Block
-    counts below the twin-class lower bound are provably infeasible and
-    skipped without enumeration.
+    For each t the partitions with exactly t blocks are streamed as
+    restricted-growth strings in lexicographic order, in blocks of at most
+    _BLOCK rows, and each block goes through the one pairwise-tie evaluator.
+    The returned partition is the first resolving one in that order for the
+    minimal t, with parts ordered by smallest element.  Block counts below
+    the twin-class lower bound are provably infeasible and skipped without
+    enumeration.
     """
     n = len(dm)
     if n > cap:
         raise SolverCapError(f"n={n} exceeds the partition-dimension cap {cap}")
     if n == 1:
         return (1, OrderedPartition(parts=(frozenset({0}),)))
-    dm_np = np.array(dm, dtype=np.int16)
-    base = int(dm_np.max()) + 1
+    dist = np.array(dm, dtype=np.int16)
     for t in range(_pd_lower_bound(dm), n + 1):
-        packable = t * max(1, (base - 1).bit_length()) <= 62
-        if (
-            packable
-            and 512 < _stirling2(n, t)
-            and _stirling2(n, t) <= _VECTOR_ROW_LIMIT
-        ):
-            blocks = _first_resolving_vectorized(dm_np, n, t, base)
-        else:
-            blocks = _first_resolving_python(dm, n, t)
-        if blocks is not None:
-            return (t, OrderedPartition(parts=tuple(frozenset(b) for b in blocks)))
+        for block in _rgs_blocks(n, t):
+            idx = _eval_block(block, dist, t)
+            if idx >= 0:
+                parts = _blocks_from_rgs(block[idx], t)
+                return (t, OrderedPartition(parts=tuple(frozenset(b) for b in parts)))
     raise AssertionError("the singleton partition always resolves")

@@ -472,7 +472,6 @@ def bounds_report(
     instance_id: str = "graph",
     dim_cap: int = DEFAULT_DIM_CAP,
     pd_cap: int = DEFAULT_PD_CAP,
-    run_constructions: bool = True,
 ) -> BoundsReport:
     """Evaluate the full bound chain on a unicyclic graph.
 
@@ -607,17 +606,16 @@ def bounds_report(
     add("pd_path_exact", "pd", "equal", 2, False, None)
 
     certificates: dict[str, CertifiedConstruction] = {}
-    if run_constructions:
-        if all_cycle_deg3:
-            certificates["pendant-set"] = pendant_resolving_set(u)
-        if is_cycle:
-            certificates["cycle-partition"] = cycle_partition(u)
-        elif unit_applicable:
-            certificates["unit-terminal"] = unit_terminal_partition(u)
-        if inv.kappa >= 1:
-            certificates["kappa-tau"] = kappa_tau_partition(u)
-        if not is_cycle:
-            certificates["xi-theta"] = xi_theta_partition(u)
+    if all_cycle_deg3:
+        certificates["pendant-set"] = pendant_resolving_set(u)
+    if is_cycle:
+        certificates["cycle-partition"] = cycle_partition(u)
+    elif unit_applicable:
+        certificates["unit-terminal"] = unit_terminal_partition(u)
+    if inv.kappa >= 1:
+        certificates["kappa-tau"] = kappa_tau_partition(u)
+    if not is_cycle:
+        certificates["xi-theta"] = xi_theta_partition(u)
 
     return BoundsReport(
         instance=instance_id,

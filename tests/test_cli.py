@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+import udim.cli
+from udim import OrderedPartition
 from udim.cli import main
 
 
@@ -75,6 +77,16 @@ def test_dim_command(capsys):
 def test_pd_command(capsys):
     code, out = run(capsys, "pd", "--gen", "cycle:7")
     assert code == 0 and "pd = 3" in out
+
+
+def test_exact_commands_recheck_solver_witnesses(monkeypatch, capsys):
+    monkeypatch.setattr(udim.cli, "metric_dimension_exact", lambda dm, cap: (1, (0,)))
+    bad_pd = (2, OrderedPartition.from_parts([{0, 2}, {1, 3}]))
+    monkeypatch.setattr(udim.cli, "partition_dimension_exact", lambda dm, cap: bad_pd)
+    for command in ("dim", "pd"):
+        assert main([command, "--gen", "cycle:4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "internal error" in captured.err
 
 
 def test_pd_cap_exit(capsys):

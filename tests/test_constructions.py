@@ -85,8 +85,9 @@ def test_cycle_partition_on_c3_collapses_to_singletons():
     assert cert.payload.to_lists() == [[0], [1], [2]]
 
 
-def test_cycle_partition_on_c7():
-    cert = cycle_partition(gen_cycle(7))
+@pytest.mark.parametrize("k", range(3, 41))
+def test_cycle_partition_on_c7(k):
+    cert = cycle_partition(gen_cycle(k))
     assert cert.verified and cert.size == 3 == cert.claimed_bound
 
 

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,13 +18,14 @@ from udim import (
     gen_c4k,
     gen_cycle,
     gen_path,
-    gen_random_unicyclic,
+    graph_from_edges,
     metric_dimension_exact,
     partition_dimension_exact,
     partition_representation,
     set_representation,
 )
-from udim.resolve import _first_resolving_python, _first_resolving_vectorized
+from udim import resolve
+from udim.resolve import _BLOCK, DEFAULT_PD_CAP, _rgs_blocks
 
 from .strategies import connected_graphs, unicyclic_graphs
 
@@ -175,8 +175,10 @@ def _dim_by_direct_enumeration(dm) -> int:
     raise AssertionError
 
 
-def _pd_by_function_enumeration(dm) -> int:
+def _pd_by_function_enumeration(dm) -> tuple[int, list[list[int]]]:
     # Independent oracle: enumerate all onto block-labelings (not RGS based).
+    # The first resolving labeling in lex order is a restricted-growth string,
+    # so its blocks are also the first resolving partition in RGS order.
     n = len(dm)
     for t in range(1, n + 1):
         for labels in product(range(t), repeat=n):
@@ -188,7 +190,7 @@ def _pd_by_function_enumeration(dm) -> int:
                 for v in range(n)
             }
             if len(vectors) == n:
-                return t
+                return t, blocks
     raise AssertionError
 
 
@@ -203,18 +205,28 @@ def test_dim_solver_matches_direct_enumeration(u):
 @settings(max_examples=30)
 def test_pd_solver_matches_function_enumeration(g):
     dm = all_pairs_distances(g)
-    assert partition_dimension_exact(dm)[0] == _pd_by_function_enumeration(dm)
+    assert partition_dimension_exact(dm)[0] == _pd_by_function_enumeration(dm)[0]
 
 
 def test_pd_solver_matches_oracle_on_all_small_classes(unicyclic_classes, tree_classes):
     for n in range(3, 7):
         for u in unicyclic_classes[n]:
             dm = all_pairs_distances(u.graph)
-            assert partition_dimension_exact(dm)[0] == _pd_by_function_enumeration(dm)
+            assert partition_dimension_exact(dm)[0] == _pd_by_function_enumeration(dm)[0]
     for n in range(2, 7):
         for t in tree_classes[n]:
             dm = all_pairs_distances(t)
-            assert partition_dimension_exact(dm)[0] == _pd_by_function_enumeration(dm)
+            assert partition_dimension_exact(dm)[0] == _pd_by_function_enumeration(dm)[0]
+
+
+def test_pd_witness_is_the_oracles_first_labeling(unicyclic_classes, tree_classes):
+    # Same first witness as the independent lex-order enumeration of labelings.
+    graphs = [u.graph for n in range(3, 8) for u in unicyclic_classes[n]]
+    graphs += [t for n in range(2, 8) for t in tree_classes[n]]
+    for g in graphs:
+        dm = all_pairs_distances(g)
+        pd, witness = partition_dimension_exact(dm)
+        assert (pd, witness.to_lists()) == _pd_by_function_enumeration(dm)
 
 
 @given(connected_graphs(max_n=9))
@@ -270,17 +282,42 @@ def test_pd_at_most_dim_plus_one(u):
     assert pd <= dim + 1
 
 
-def test_python_and_vectorized_sweeps_agree():
-    # Same first witness regardless of evaluation engine.
-    for seed in range(20):
-        u = gen_random_unicyclic(9, seed=seed)
-        dm = all_pairs_distances(u.graph)
-        dm_np = np.array(dm, dtype=np.int16)
-        base = int(dm_np.max()) + 1
-        for t in (2, 3, 4):
-            py = _first_resolving_python(dm, 9, t)
-            vec = _first_resolving_vectorized(dm_np, 9, t, base)
-            assert py == vec
+def _rgs_by_filtering(n, t):
+    # Canonical labelings: labels first appear in increasing order.  Such a
+    # labeling has a label of at most i at position i, which bounds the product.
+    for labels in product(*(range(min(i + 1, t)) for i in range(n))):
+        firsts = [labels.index(b) for b in range(t) if b in labels]
+        if len(firsts) == t and firsts == sorted(firsts):
+            yield labels
+
+
+@pytest.mark.parametrize("block_rows", [8, _BLOCK])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rgs_blocks_stream_every_rgs_in_lex_order(n, block_rows, monkeypatch):
+    monkeypatch.setattr(resolve, "_BLOCK", block_rows)
+    for t in range(1, n + 1):
+        blocks = list(_rgs_blocks(n, t))
+        assert all(len(b) <= block_rows for b in blocks)
+        streamed = [tuple(int(x) for x in row) for b in blocks for row in b]
+        assert streamed == list(_rgs_by_filtering(n, t))
+
+
+def test_rgs_blocks_shrink_above_the_default_cap():
+    # The evaluator's rows x n x n temporaries stay within those at n = 12.
+    for n in (13, 40, 300):
+        for block in islice(_rgs_blocks(n, 2), 50):
+            assert 1 <= len(block) and len(block) * n * n <= _BLOCK * DEFAULT_PD_CAP**2
+
+
+@pytest.mark.parametrize("k", [40, 300])
+def test_pd_of_large_stars(k):
+    # K_{1,k} has pd = k.  At k = 40 the 40 distance coordinates would not
+    # pack into 63 bits; at k = 300 the block labels do not fit in a byte.
+    star = graph_from_edges(k + 1, [(0, leaf) for leaf in range(1, k + 1)])
+    dm = all_pairs_distances(star)
+    pd, witness = partition_dimension_exact(dm, cap=k + 1)
+    assert pd == k
+    assert check_resolving_partition(dm, witness).resolving
 
 
 def test_pd_two_exactly_for_paths_up_to_ten(tree_classes, unicyclic_classes):

@@ -255,10 +255,11 @@ def test_reports_emit_the_same_record_names_for_both_kinds():
 
 
 def test_report_without_constructions():
-    rep = bounds_report(gen_sun(3), run_constructions=False)
-    assert rep.certificates == {}
+    rep = bounds_report(gen_sun(3))
     assert rep.record("pd_kappa_tau").value == 7
     assert rep.violations == ()
+    assert sorted(rep.certificates) == ["kappa-tau", "pendant-set", "xi-theta"]
+    assert all(cert.verified for cert in rep.certificates.values())
 
 
 def test_tree_report_on_path():
