@@ -12,15 +12,7 @@ import os
 import sys
 from typing import Sequence
 
-from .constructions import (
-    CertifiedConstruction,
-    cycle_partition,
-    kappa_tau_partition,
-    lift_tree_partition,
-    pendant_resolving_set,
-    unit_terminal_partition,
-    xi_theta_partition,
-)
+from .constructions import CONSTRUCTIONS, lift_tree_partition
 from .errors import SolverCapError, UdimError
 from .graphs import (
     Graph,
@@ -58,16 +50,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_BOUND_VIOLATION = 2
 EXIT_NOT_RESOLVING = 3
-
-CONSTRUCTION_NAMES = (
-    "pendant-set",
-    "cycle",
-    "unit-terminal",
-    "kappa-tau",
-    "xi-theta",
-    "lift",
-)
-
 
 def _color_enabled() -> bool:
     if os.environ.get("UDIM_COLOR", "") == "0":
@@ -230,30 +212,19 @@ def _cmd_exact(args: argparse.Namespace, which: str) -> int:
     return EXIT_OK
 
 
-def _run_construction(name: str, u: UnicyclicGraph, pd_cap: int) -> CertifiedConstruction:
-    if name == "pendant-set":
-        return pendant_resolving_set(u)
-    if name == "cycle":
-        return cycle_partition(u)
-    if name == "unit-terminal":
-        return unit_terminal_partition(u)
-    if name == "kappa-tau":
-        return kappa_tau_partition(u)
-    if name == "xi-theta":
-        return xi_theta_partition(u)
-    if name == "lift":
-        _, tree = epsilon(u)
-        pd_t, witness = partition_dimension_exact(
-            all_pairs_distances(tree.graph), cap=pd_cap
-        )
-        return lift_tree_partition(u, witness, tree)
-    raise UdimError(f"unknown construction {name!r}; expected one of {CONSTRUCTION_NAMES}")
-
-
 def _cmd_construct(args: argparse.Namespace) -> int:
     g, _ = _load_graph(args)
     u = validate_unicyclic(g)
-    cert = _run_construction(args.name, u, args.pd_cap)
+    if args.name == "lift":
+        # Not a bound-chain certificate: it lifts the exact pd witness of the
+        # minimum-leaf spanning tree.
+        _, tree = epsilon(u)
+        _, witness = partition_dimension_exact(
+            all_pairs_distances(tree.graph), cap=args.pd_cap
+        )
+        cert = lift_tree_partition(u, witness, tree)
+    else:
+        cert = next(build for name, build, _ in CONSTRUCTIONS if name == args.name)(u)
     if args.format == "json":
         _print_json(cert.to_json())
     else:
@@ -305,6 +276,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     _check_caps(args)
     if args.jobs < 1:
         raise UdimError("--jobs must be positive")
+    if args.random is not None and args.random < 0:
+        raise UdimError("--random must be non-negative")
     graphs: list[UnicyclicGraph] = []
     ids: list[str] = []
     if args.exhaustive:
@@ -393,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("construct", help="build and verify a named construction")
-    p.add_argument("name", choices=CONSTRUCTION_NAMES)
+    p.add_argument("name", choices=[name for name, _, _ in CONSTRUCTIONS] + ["lift"])
     _add_common(p)
 
     p = sub.add_parser("verify", help="check a partition file against a graph")

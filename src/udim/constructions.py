@@ -143,34 +143,28 @@ def cycle_partition(u: UnicyclicGraph) -> CertifiedConstruction:
     return _certify_partition("cycle-partition", all_pairs_distances(u.graph), parts, 3)
 
 
-def _branch_sets(g, cycle_order: list[int]) -> list[set[int]]:
-    """Per cycle position, the vertex together with its pendant-path branch.
+def _branch_sets(g, cycle: tuple[int, ...]) -> dict[int, set[int]]:
+    """Per cycle vertex, the vertex together with its pendant-path branch.
 
     Only valid when every exterior major vertex lies on the cycle with degree
     three and terminal degree one; raises PreconditionError otherwise.
     """
-    profiles = {p.major: p for p in terminal_profiles(g)}
-    exterior = [p for p in profiles.values() if p.terminal_degree >= 1]
-    if not exterior:
+    profiles = terminal_profiles(g)
+    if not any(p.terminal_degree >= 1 for p in profiles):
         raise PreconditionError("graph has no exterior major vertex")
-    cycle_set = set(cycle_order)
-    for p in profiles.values():
+    sets = {c: {c} for c in cycle}
+    for p in profiles:
         if p.terminal_degree != 1:
             raise PreconditionError(
                 f"major vertex {p.major} has terminal degree {p.terminal_degree}; "
                 "every exterior major vertex must have terminal degree one"
             )
-        if p.major not in cycle_set or g.degree(p.major) != 3:
+        if p.major not in sets or g.degree(p.major) != 3:
             raise PreconditionError(
                 f"major vertex {p.major} must lie on the cycle with degree three"
             )
-    sets = []
-    for c in cycle_order:
-        if c in profiles:
-            sets.append({c} | set(profiles[c].paths[0]))
-        else:
-            sets.append({c})
-    covered = set().union(*sets)
+        sets[p.major] |= p.paths[0]
+    covered = set().union(*sets.values())
     if covered != set(range(g.n)):
         raise PreconditionError("branch decomposition does not cover the graph")
     return sets
@@ -185,16 +179,14 @@ def unit_terminal_partition(u: UnicyclicGraph) -> CertifiedConstruction:
     cycle length.
     """
     g = u.graph
-    profiles = [p for p in terminal_profiles(g) if p.terminal_degree >= 1]
-    if not profiles:
-        raise PreconditionError("graph has no exterior major vertex")
-    anchor = min(p.major for p in profiles)
+    branches = _branch_sets(g, u.cycle)
+    anchor = min(c for c, branch in branches.items() if len(branch) > 1)  # exterior major
     cyc = list(u.cycle)
     i = cyc.index(anchor)
     cyc = cyc[i:] + cyc[:i]
     if cyc[-1] < cyc[1]:
         cyc = [cyc[0]] + cyc[:0:-1]
-    w = _branch_sets(g, cyc)
+    w = [branches[c] for c in cyc]
     k = len(cyc)
     if k % 2 == 0:
         half = k // 2
@@ -322,3 +314,18 @@ def lift_tree_partition(
     return _certify_partition(
         "lift", all_pairs_distances(u.graph), parts, pi_t.t + 3
     )
+
+
+# The bound-chain certificates, in report order: the ``construct`` name, the
+# function that builds it, and the bound record its certificate backs.  A
+# construction applies to a graph iff its function does not raise
+# PreconditionError.  Each lambda looks the module function up at call time,
+# so a wrapper installed on it (a profiler, the benchmark's tracer) sees
+# every call.
+CONSTRUCTIONS = (
+    ("pendant-set", lambda u: pendant_resolving_set(u), "dim_pendant_support"),
+    ("cycle", lambda u: cycle_partition(u), "pd_unit_terminal"),
+    ("unit-terminal", lambda u: unit_terminal_partition(u), "pd_unit_terminal"),
+    ("kappa-tau", lambda u: kappa_tau_partition(u), "pd_kappa_tau"),
+    ("xi-theta", lambda u: xi_theta_partition(u), "pd_support_leaf.upper"),
+)

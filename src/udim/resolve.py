@@ -242,27 +242,33 @@ def _rgs_blocks(n: int, t: int) -> Iterator[np.ndarray]:
     twice the rows it needed plus one piece.
     """
     limit = max(1, min(_BLOCK, _BLOCK * DEFAULT_PD_CAP**2 // n**2))
-    prefix = [0]
 
-    def pieces(mx: int) -> Iterator[np.ndarray]:
-        s = n - len(prefix)
-        if t**s <= limit:
-            tails = _completions(s, mx, t)
-            piece = np.empty((tails.shape[0], n), dtype=tails.dtype)
-            piece[:, : n - s] = prefix
-            piece[:, n - s :] = tails
-            yield piece
-            return
-        for val in range(min(mx + 1, t - 1) + 1):
-            new_mx = max(mx, val)
-            if t - 1 - new_mx <= s - 1:
-                prefix.append(val)
-                yield from pieces(new_mx)
-                prefix.pop()
+    def pieces() -> Iterator[np.ndarray]:
+        # Depth-first over prefixes on an explicit stack, children pushed in
+        # reverse so they pop in lex order.  An entry (fixed, mx, val) puts
+        # val at position fixed - 1; the positions before it still hold the
+        # entry's ancestors, since only deeper entries ran in between.
+        prefix = [0] * n
+        stack = [(1, 0, 0)]
+        while stack:
+            fixed, mx, val = stack.pop()
+            prefix[fixed - 1] = val
+            s = n - fixed
+            if t**s <= limit:
+                tails = _completions(s, mx, t)
+                piece = np.empty((tails.shape[0], n), dtype=tails.dtype)
+                piece[:, :fixed] = prefix[:fixed]
+                piece[:, fixed:] = tails
+                yield piece
+                continue
+            for nxt in reversed(range(min(mx + 1, t - 1) + 1)):
+                new_mx = max(mx, nxt)
+                if t - 1 - new_mx <= s - 1:
+                    stack.append((fixed + 1, new_mx, nxt))
 
     pending: list[np.ndarray] = []
     rows = done = 0
-    for piece in pieces(0):
+    for piece in pieces():
         if pending and (rows + piece.shape[0] > limit or rows > done):
             yield np.concatenate(pending)
             pending, rows, done = [], 0, done + rows

@@ -15,16 +15,10 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
-from .constructions import (
-    CertifiedConstruction,
-    cycle_partition,
-    kappa_tau_partition,
-    pendant_resolving_set,
-    unit_terminal_partition,
-    xi_theta_partition,
-)
-from .errors import SolverCapError, UdimError
+from .constructions import CONSTRUCTIONS, CertifiedConstruction
+from .errors import PreconditionError, SolverCapError, UdimError
 from .graphs import (
+    DistanceMatrix,
     Graph,
     UnicyclicGraph,
     all_pairs_distances,
@@ -446,6 +440,28 @@ class BoundsReport:
         }
 
 
+# Every bound record, in unicyclic report order: (name, target, kind).
+BOUNDS = (
+    ("dim_vs_tree_dim.lower", "dim", "lower"),
+    ("dim_vs_tree_dim.upper", "dim", "upper"),
+    ("dim_vs_tree_leaves.lower", "dim", "lower"),
+    ("dim_vs_tree_leaves.upper", "dim", "upper"),
+    ("pd_vs_dim", "pd", "upper"),
+    ("pd_vs_tree_leaves", "pd", "upper"),
+    ("pd_min_nonpath", "pd", "lower"),
+    ("dim_pendant_support", "dim", "upper"),
+    ("pd_pendant_support", "pd", "upper"),
+    ("pd_unit_terminal", "pd", "equal"),
+    ("pd_kappa_tau", "pd", "upper"),
+    ("pd_kappa_tau_tree", "pd", "upper"),
+    ("pd_support_leaf_plus", "pd", "upper"),
+    ("pd_support_leaf.lower", "pd", "lower"),
+    ("pd_support_leaf.upper", "pd", "upper"),
+    ("tree_dim_formula", "dim", "equal"),
+    ("pd_path_exact", "pd", "equal"),
+)
+
+
 def _satisfied(kind: str, value: int | None, exact: int | None) -> bool | None:
     if value is None or exact is None:
         return None
@@ -456,15 +472,59 @@ def _satisfied(kind: str, value: int | None, exact: int | None) -> bool | None:
     return exact == value
 
 
-def _tree_dim(g: Graph, dim_cap: int) -> tuple[int, str]:
+def _bound_records(
+    rows: Sequence[tuple],
+    exact: dict[str, int | None],
+    certified: dict[str, str] | None = None,
+) -> tuple[BoundRecord, ...]:
+    """Records for (name, value, applicable[, detail]) rows, in row order,
+    then every other bound of BOUNDS as a not-applicable placeholder.
+
+    ``exact`` maps a target ("dim", "pd") to its exact value, and
+    ``certified`` a bound name to the certificate that backs it.
+    """
+    certified = certified or {}
+    evaluated = {row[0] for row in rows}
+    placeholders = [(name, None, False) for name, _, _ in BOUNDS if name not in evaluated]
+    targets = {name: (target, kind) for name, target, kind in BOUNDS}
+    records = []
+    for name, value, applicable, *detail in [*rows, *placeholders]:
+        target, kind = targets[name]
+        records.append(
+            BoundRecord(
+                name=name,
+                target=target,
+                kind=kind,
+                value=value,
+                applicable=applicable,
+                satisfied=_satisfied(kind, value, exact[target]) if applicable else None,
+                certificate=certified.get(name),
+                detail=detail[0] if detail else None,
+            )
+        )
+    return tuple(records)
+
+
+def _exact(dm: DistanceMatrix, dim_cap: int, pd_cap: int) -> tuple:
+    """(dim, dim witness, pd, pd witness); a value above its cap is None."""
+    try:
+        dim = metric_dimension_exact(dm, cap=dim_cap)
+    except SolverCapError:
+        dim = (None, None)
+    try:
+        pd = partition_dimension_exact(dm, cap=pd_cap)
+    except SolverCapError:
+        pd = (None, None)
+    return (*dim, *pd)
+
+
+def _tree_dim(g: Graph, dim_cap: int) -> int:
     """Exact dim of a tree when within cap, else the leaf/exterior formula."""
     try:
-        value, _ = metric_dimension_exact(all_pairs_distances(g), cap=dim_cap)
-        return value, "exact"
+        return metric_dimension_exact(all_pairs_distances(g), cap=dim_cap)[0]
     except SolverCapError:
-        n1 = len(pendant_vertices(g))
         ex = exterior_major_count(g)
-        return (1 if ex == 0 else n1 - ex), "formula"
+        return 1 if ex == 0 else len(pendant_vertices(g)) - ex
 
 
 def bounds_report(
@@ -477,145 +537,69 @@ def bounds_report(
 
     Tree-quantified bounds are evaluated on every spanning tree (the record
     keeps the binding value, the detail map the per-tree values); bounds
-    stated at a minimum-leaf spanning tree are evaluated there.
+    stated at a minimum-leaf spanning tree are evaluated there.  Every
+    construction of CONSTRUCTIONS that applies is built and verified, and
+    tags the bound record it certifies.
     """
     g = u.graph
-    dm = all_pairs_distances(g)
     inv = graph_invariants(g, unicyclic=u)
-    eps_value, eps_tree = epsilon(u)
+    _, eps_tree = epsilon(u)
+    exact_dim, dim_witness, exact_pd, pd_witness = _exact(
+        all_pairs_distances(g), dim_cap, pd_cap
+    )
 
-    exact_dim = dim_witness = None
-    try:
-        exact_dim, dim_witness = metric_dimension_exact(dm, cap=dim_cap)
-    except SolverCapError:
-        pass
-    exact_pd = pd_witness = None
-    try:
-        exact_pd, pd_witness = partition_dimension_exact(dm, cap=pd_cap)
-    except SolverCapError:
-        pass
-
-    trees = spanning_trees(u)
-    per_tree: dict[str, dict] = {}
-    tree_dims: list[int] = []
-    tree_leaf_scores: list[int] = []
-    for tree in trees:
+    dim_detail: dict[str, int] = {}
+    leaf_detail: dict[str, int] = {}
+    for tree in spanning_trees(u):
         tg = tree.graph
-        n1_t = len(pendant_vertices(tg))
-        ex_t = exterior_major_count(tg)
-        dim_t, dim_how = _tree_dim(tg, dim_cap)
         label = f"{tree.deleted_edge[0]}-{tree.deleted_edge[1]}"
-        per_tree[label] = {"n1": n1_t, "ex": ex_t, "dim": dim_t, "dim_source": dim_how}
-        tree_dims.append(dim_t)
-        tree_leaf_scores.append(n1_t - ex_t)
+        dim_detail[label] = _tree_dim(tg, dim_cap)
+        leaf_detail[label] = len(pendant_vertices(tg)) - exterior_major_count(tg)
+    tree_dims = dim_detail.values()
+    leaf_scores = leaf_detail.values()
 
     kappa_T, tau_T = kappa_tau(eps_tree.graph)
     xi_T, theta_T = xi_theta(eps_tree.graph)
-
-    records: list[BoundRecord] = []
-
-    def add(name, target, kind, value, applicable, exact, cert=None, detail=None):
-        records.append(
-            BoundRecord(
-                name=name,
-                target=target,
-                kind=kind,
-                value=value,
-                applicable=applicable,
-                satisfied=_satisfied(kind, value, exact) if applicable else None,
-                certificate=cert,
-                detail=detail,
-            )
-        )
-
-    dim_detail = {k: v["dim"] for k, v in per_tree.items()}
-    leaf_detail = {k: v["n1"] - v["ex"] for k, v in per_tree.items()}
-
-    add(
-        "dim_vs_tree_dim.lower", "dim", "lower",
-        max(tree_dims) - 2, True, exact_dim, detail=dim_detail,
-    )
-    add(
-        "dim_vs_tree_dim.upper", "dim", "upper",
-        min(tree_dims) + 1, True, exact_dim, detail=dim_detail,
-    )
-    add(
-        "dim_vs_tree_leaves.lower", "dim", "lower",
-        max(tree_leaf_scores) - 2, True, exact_dim, detail=leaf_detail,
-    )
-    add(
-        "dim_vs_tree_leaves.upper", "dim", "upper",
-        min(tree_leaf_scores) + 1, True, exact_dim, detail=leaf_detail,
-    )
-    add(
-        "pd_vs_dim", "pd", "upper",
-        exact_dim + 1 if exact_dim is not None else None,
-        True, exact_pd,
-    )
-    add(
-        "pd_vs_tree_leaves", "pd", "upper",
-        min(tree_leaf_scores) + 2, True, exact_pd, detail=leaf_detail,
-    )
-    add("pd_min_nonpath", "pd", "lower", 3, True, exact_pd)
-
-    all_cycle_deg3 = all(g.degree(c) >= 3 for c in u.cycle)
-    add(
-        "dim_pendant_support", "dim", "upper",
-        inv.n1 - inv.rho, all_cycle_deg3, exact_dim,
-        cert="pendant-set" if all_cycle_deg3 else None,
-    )
-    add(
-        "pd_pendant_support", "pd", "upper",
-        inv.n1 - inv.rho + 1, all_cycle_deg3, exact_pd,
-    )
-
-    is_cycle = u.is_cycle_graph()
-    unit_applicable = inv.kappa == 0
-    unit_cert = None
-    if is_cycle:
-        unit_cert = "cycle-partition"
-    elif unit_applicable:
-        unit_cert = "unit-terminal"
-    add(
-        "pd_unit_terminal", "pd", "equal", 3, unit_applicable, exact_pd,
-        cert=unit_cert,
-    )
-    add(
-        "pd_kappa_tau", "pd", "upper",
-        inv.kappa + inv.tau + 1, inv.kappa >= 1, exact_pd,
-        cert="kappa-tau" if inv.kappa >= 1 else None,
-    )
-    add(
-        "pd_kappa_tau_tree", "pd", "upper",
-        kappa_T + tau_T + 1, kappa_T >= 1, exact_pd,
-        detail={"kappa_T": kappa_T, "tau_T": tau_T},
-    )
-    add(
-        "pd_support_leaf_plus", "pd", "upper",
-        xi_T + theta_T + 1, True, exact_pd,
-        detail={"xi_T": xi_T, "theta_T": theta_T},
-    )
-    add("pd_support_leaf.lower", "pd", "lower", theta_T - 1, True, exact_pd)
-    add(
-        "pd_support_leaf.upper", "pd", "upper",
-        xi_T + theta_T, True, exact_pd,
-        cert="xi-theta" if not is_cycle else None,
-        detail={"xi_T": xi_T, "theta_T": theta_T},
-    )
-    add("tree_dim_formula", "dim", "equal", None, False, None)
-    add("pd_path_exact", "pd", "equal", 2, False, None)
+    xi_theta_T = {"xi_T": xi_T, "theta_T": theta_T}
 
     certificates: dict[str, CertifiedConstruction] = {}
-    if all_cycle_deg3:
-        certificates["pendant-set"] = pendant_resolving_set(u)
-    if is_cycle:
-        certificates["cycle-partition"] = cycle_partition(u)
-    elif unit_applicable:
-        certificates["unit-terminal"] = unit_terminal_partition(u)
-    if inv.kappa >= 1:
-        certificates["kappa-tau"] = kappa_tau_partition(u)
-    if not is_cycle:
-        certificates["xi-theta"] = xi_theta_partition(u)
+    certified: dict[str, str] = {}
+    for _, build, bound in CONSTRUCTIONS:
+        try:
+            cert = build(u)
+        except PreconditionError:
+            continue
+        certificates[cert.name] = cert
+        certified[bound] = cert.name
+
+    all_cycle_deg3 = all(g.degree(c) >= 3 for c in u.cycle)
+    records = _bound_records(
+        [
+            ("dim_vs_tree_dim.lower", max(tree_dims) - 2, True, dim_detail),
+            ("dim_vs_tree_dim.upper", min(tree_dims) + 1, True, dim_detail),
+            ("dim_vs_tree_leaves.lower", max(leaf_scores) - 2, True, leaf_detail),
+            ("dim_vs_tree_leaves.upper", min(leaf_scores) + 1, True, leaf_detail),
+            ("pd_vs_dim", exact_dim + 1 if exact_dim is not None else None, True),
+            ("pd_vs_tree_leaves", min(leaf_scores) + 2, True, leaf_detail),
+            ("pd_min_nonpath", 3, True),
+            ("dim_pendant_support", inv.n1 - inv.rho, all_cycle_deg3),
+            ("pd_pendant_support", inv.n1 - inv.rho + 1, all_cycle_deg3),
+            ("pd_unit_terminal", 3, inv.kappa == 0),
+            ("pd_kappa_tau", inv.kappa + inv.tau + 1, inv.kappa >= 1),
+            (
+                "pd_kappa_tau_tree", kappa_T + tau_T + 1, kappa_T >= 1,
+                {"kappa_T": kappa_T, "tau_T": tau_T},
+            ),
+            ("pd_support_leaf_plus", xi_T + theta_T + 1, True, xi_theta_T),
+            ("pd_support_leaf.lower", theta_T - 1, True),
+            ("pd_support_leaf.upper", xi_T + theta_T, True, xi_theta_T),
+            # The tree-only bounds, which never apply to a unicyclic graph.
+            ("tree_dim_formula", None, False),
+            ("pd_path_exact", 2, False),
+        ],
+        {"dim": exact_dim, "pd": exact_pd},
+        certified,
+    )
 
     return BoundsReport(
         instance=instance_id,
@@ -628,7 +612,7 @@ def bounds_report(
         dim_witness=dim_witness,
         exact_pd=exact_pd,
         pd_witness=pd_witness,
-        records=tuple(records),
+        records=records,
         certificates=certificates,
     )
 
@@ -642,71 +626,21 @@ def tree_report(
     """Reduced report for a tree: the dim formula plus the generic pd bounds."""
     if not is_tree(g):
         raise UdimError("tree_report needs a tree")
-    dm = all_pairs_distances(g)
     inv = graph_invariants(g)
-    exact_dim = dim_witness = None
-    try:
-        exact_dim, dim_witness = metric_dimension_exact(dm, cap=dim_cap)
-    except SolverCapError:
-        pass
-    exact_pd = pd_witness = None
-    try:
-        exact_pd, pd_witness = partition_dimension_exact(dm, cap=pd_cap)
-    except SolverCapError:
-        pass
+    exact_dim, dim_witness, exact_pd, pd_witness = _exact(
+        all_pairs_distances(g), dim_cap, pd_cap
+    )
     is_path = inv.ex == 0
     # The pd-of-a-path rule needs at least two vertices; a lone vertex has pd 1.
-    path_rule = is_path and g.n >= 2
-    records = [
-        BoundRecord(
-            name="tree_dim_formula", target="dim", kind="equal",
-            value=None if is_path else inv.n1 - inv.ex,
-            applicable=not is_path,
-            satisfied=(
-                _satisfied("equal", inv.n1 - inv.ex, exact_dim)
-                if not is_path else None
-            ),
-        ),
-        BoundRecord(
-            name="pd_vs_dim", target="pd", kind="upper",
-            value=exact_dim + 1 if exact_dim is not None else None,
-            applicable=True,
-            satisfied=_satisfied(
-                "upper", exact_dim + 1 if exact_dim is not None else None, exact_pd
-            ),
-        ),
-        BoundRecord(
-            name="pd_path_exact", target="pd", kind="equal",
-            value=2, applicable=path_rule,
-            satisfied=_satisfied("equal", 2, exact_pd) if path_rule else None,
-        ),
-        BoundRecord(
-            name="pd_min_nonpath", target="pd", kind="lower",
-            value=3, applicable=not is_path,
-            satisfied=_satisfied("lower", 3, exact_pd) if not is_path else None,
-        ),
-    ]
-    for name, target, kind in (
-        ("dim_vs_tree_dim.lower", "dim", "lower"),
-        ("dim_vs_tree_dim.upper", "dim", "upper"),
-        ("dim_vs_tree_leaves.lower", "dim", "lower"),
-        ("dim_vs_tree_leaves.upper", "dim", "upper"),
-        ("pd_vs_tree_leaves", "pd", "upper"),
-        ("dim_pendant_support", "dim", "upper"),
-        ("pd_pendant_support", "pd", "upper"),
-        ("pd_unit_terminal", "pd", "equal"),
-        ("pd_kappa_tau", "pd", "upper"),
-        ("pd_kappa_tau_tree", "pd", "upper"),
-        ("pd_support_leaf_plus", "pd", "upper"),
-        ("pd_support_leaf.lower", "pd", "lower"),
-        ("pd_support_leaf.upper", "pd", "upper"),
-    ):
-        records.append(
-            BoundRecord(
-                name=name, target=target, kind=kind,
-                value=None, applicable=False, satisfied=None,
-            )
-        )
+    records = _bound_records(
+        [
+            ("tree_dim_formula", None if is_path else inv.n1 - inv.ex, not is_path),
+            ("pd_vs_dim", exact_dim + 1 if exact_dim is not None else None, True),
+            ("pd_path_exact", 2, is_path and g.n >= 2),
+            ("pd_min_nonpath", 3, not is_path),
+        ],
+        {"dim": exact_dim, "pd": exact_pd},
+    )
     return BoundsReport(
         instance=instance_id,
         n=g.n,
@@ -718,7 +652,7 @@ def tree_report(
         dim_witness=dim_witness,
         exact_pd=exact_pd,
         pd_witness=pd_witness,
-        records=tuple(records),
+        records=records,
         certificates={},
     )
 

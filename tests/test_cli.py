@@ -93,6 +93,12 @@ def test_pd_cap_exit(capsys):
     assert run(capsys, "pd", "--gen", "cycle:9", "--pd-cap", "5")[0] == 1
 
 
+def test_pd_on_a_long_path_with_a_raised_cap(capsys):
+    # The prefix walk fixes up to n positions; it must not recurse per position.
+    code, out = run(capsys, "pd", "--gen", "path:1100", "--pd-cap", "1100")
+    assert code == 0 and out.startswith("pd = 2\n")
+
+
 def test_construct_kappa_tau(capsys):
     code, out = run(capsys, "construct", "kappa-tau", "--gen", "sun:4")
     assert code == 0
@@ -108,6 +114,14 @@ def test_construct_kappa_tau(capsys):
 def test_construct_precondition_exit(capsys):
     code, _ = run(capsys, "construct", "unit-terminal", "--gen", "sun:4")
     assert code == 1
+
+
+def test_construct_precondition_checked_before_reanchoring(tmp_path, capsys):
+    path = tmp_path / "n6_1.el"
+    path.write_text("0 1\n0 2\n1 2\n2 3\n3 4\n3 5\n")
+    assert main(["construct", "unit-terminal", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_construct_lift_on_cycle(capsys):
@@ -174,6 +188,14 @@ def test_scan_needs_a_family(capsys):
     assert run(capsys, "scan")[0] == 1
     assert run(capsys, "scan", "--random", "5")[0] == 1
     assert run(capsys, "scan", "--exhaustive", "bogus")[0] == 1
+
+
+def test_scan_rejects_a_negative_random_count(capsys):
+    assert main(["scan", "--random", "-3", "--n", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --random must be non-negative\n"
+    assert run(capsys, "scan", "--random", "0", "--n", "8")[0] == 0
 
 
 def test_scan_labeled_mode(capsys):

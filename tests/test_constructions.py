@@ -120,6 +120,15 @@ def test_unit_terminal_rejects_bare_cycle():
         unit_terminal_partition(gen_cycle(6))
 
 
+def test_unit_terminal_rejects_major_off_the_cycle():
+    # Class n6#1: the smallest exterior major, 3, is off the triangle 0-1-2.
+    u = validate_unicyclic(
+        graph_from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5)])
+    )
+    with pytest.raises(PreconditionError, match="terminal degree"):
+        unit_terminal_partition(u)
+
+
 # -- kappa tau partition ---------------------------------------------------------
 
 
