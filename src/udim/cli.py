@@ -13,7 +13,7 @@ import sys
 from typing import Sequence
 
 from .constructions import CONSTRUCTIONS, lift_tree_partition
-from .errors import SolverCapError, UdimError
+from .errors import UdimError
 from .graphs import (
     Graph,
     UnicyclicGraph,
@@ -28,6 +28,7 @@ from .resolve import (
     DEFAULT_DIM_CAP,
     DEFAULT_PD_CAP,
     OrderedPartition,
+    check_cap,
     check_resolving_partition,
     check_resolving_set,
     metric_dimension_exact,
@@ -192,14 +193,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_exact(args: argparse.Namespace, which: str) -> int:
     g, _ = _load_graph(args)
-    dm = all_pairs_distances(g)
     if which == "dim":
+        check_cap(g.n, args.dim_cap, "metric-dimension")
+        dm = all_pairs_distances(g)
         value, witness = metric_dimension_exact(dm, cap=args.dim_cap)
         if not check_resolving_set(dm, witness).resolving:
             raise UdimError("internal error: solver witness failed re-verification")
         payload = {"dim": value, "witness": sorted(witness)}
         text = f"dim = {value}\nwitness = {sorted(witness)}"
     else:
+        check_cap(g.n, args.pd_cap, "partition-dimension")
+        dm = all_pairs_distances(g)
         value, partition = partition_dimension_exact(dm, cap=args.pd_cap)
         if not check_resolving_partition(dm, partition).resolving:
             raise UdimError("internal error: solver witness failed re-verification")
@@ -218,6 +222,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if args.name == "lift":
         # Not a bound-chain certificate: it lifts the exact pd witness of the
         # minimum-leaf spanning tree.
+        check_cap(u.graph.n, args.pd_cap, "partition-dimension")
         _, tree = epsilon(u)
         _, witness = partition_dimension_exact(
             all_pairs_distances(tree.graph), cap=args.pd_cap
@@ -413,9 +418,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "gen":
             return _cmd_gen(args)
         raise UdimError(f"unknown command {args.command!r}")
-    except SolverCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (UdimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -170,6 +170,13 @@ def _branch_sets(g, cycle: tuple[int, ...]) -> dict[int, set[int]]:
     return sets
 
 
+def _cycle_from(cycle: tuple[int, ...], x: int, y: int) -> list[int]:
+    """The cycle rotated to start at x, oriented so that y comes second."""
+    i = cycle.index(x)
+    cyc = list(cycle[i:] + cycle[:i])
+    return cyc if cyc[1] == y else [x] + cyc[:0:-1]
+
+
 def unit_terminal_partition(u: UnicyclicGraph) -> CertifiedConstruction:
     """A 3-part resolving partition when every exterior major has one terminal.
 
@@ -181,11 +188,8 @@ def unit_terminal_partition(u: UnicyclicGraph) -> CertifiedConstruction:
     g = u.graph
     branches = _branch_sets(g, u.cycle)
     anchor = min(c for c, branch in branches.items() if len(branch) > 1)  # exterior major
-    cyc = list(u.cycle)
-    i = cyc.index(anchor)
-    cyc = cyc[i:] + cyc[:i]
-    if cyc[-1] < cyc[1]:
-        cyc = [cyc[0]] + cyc[:0:-1]
+    i = u.cycle.index(anchor)
+    cyc = _cycle_from(u.cycle, anchor, min(u.cycle[i - 1], u.cycle[(i + 1) % u.k]))
     w = [branches[c] for c in cyc]
     k = len(cyc)
     if k % 2 == 0:
@@ -296,12 +300,7 @@ def lift_tree_partition(
         raise PreconditionError(
             f"partition does not resolve the spanning tree; twins {tree_check.twins}"
         )
-    a, b = tree.deleted_edge
-    cyc = list(u.cycle)
-    i = cyc.index(a)
-    cyc = cyc[i:] + cyc[:i]
-    if cyc[1] != b:
-        cyc = [cyc[0]] + cyc[:0:-1]
+    cyc = _cycle_from(u.cycle, *tree.deleted_edge)
     k = len(cyc)
     anchors: list[int] = []
     for c in (cyc[0], cyc[1], cyc[k // 2]):

@@ -107,10 +107,11 @@ def parse_edge_list(text: str | bytes) -> Graph:
     if not edges:
         raise GraphFormatError("edge list contains no edges")
     n = max(used) + 1
-    missing = set(range(n)) - used
-    if missing:
+    if len(used) < n:
+        first = next(v for v in range(n) if v not in used)
         raise GraphFormatError(
-            f"vertex ids are not dense 0..{n - 1}: missing {sorted(missing)}"
+            f"vertex ids are not dense 0..{n - 1}: {n - len(used)} missing, "
+            f"the first is {first}"
         )
     return graph_from_edges(n, edges)
 

@@ -1,20 +1,20 @@
 """Resolving sets and partitions: representations, checkers, exact solvers.
 
 The checkers are deliberately simple and independent of the solvers; every
-construction in the package is post-verified through them.  The exact
-partition-dimension solver has one engine.  It streams the unordered set
-partitions with exactly t blocks as restricted-growth strings in
-lexicographic order (resolvability is invariant under reordering blocks, so
-unordered enumeration is sound), in numpy blocks of bounded size built from
-cached completions of short prefixes, and evaluates each block with one
-vectorized pairwise-tie test.  The first resolving string is the witness.
+construction in the package is post-verified through them.  Both exact
+solvers decide one rule, stated once in ``_ties``: landmarks or parts resolve
+the graph iff no vertex pair u < v is tied on every coordinate of r(.).  They
+try landmark subsets, or partitions as restricted-growth strings (the rule is
+invariant under reordering blocks), in lexicographic order, and the first
+resolving one is the witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -26,8 +26,8 @@ DEFAULT_DIM_CAP = 16
 DEFAULT_PD_CAP = 12
 
 # Rows per block of restricted-growth strings handed to the evaluator (fewer
-# above DEFAULT_PD_CAP); it bounds the solver's working memory whatever the
-# number of partitions.
+# above DEFAULT_PD_CAP, see _row_limit); it bounds the solvers' working
+# memory whatever the number of partitions.
 _BLOCK = 1024
 _SENTINEL = np.int16(32000)
 
@@ -150,30 +150,61 @@ def check_resolving_set(dm: DistanceMatrix, s: Iterable[int]) -> ResolutionWitne
     return ResolutionWitness(resolving=False, twins=_first_twin(vectors))
 
 
+def check_cap(n: int, cap: int, solver: str) -> None:
+    """Raise SolverCapError if n exceeds the cap of the named exact solver."""
+    if n > cap:
+        raise SolverCapError(f"n={n} exceeds the {solver} cap {cap}")
+
+
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex pairs u < v of 0..n-1, in np.triu_indices order."""
+    return np.triu_indices(n, 1)
+
+
+def _ties(values: np.ndarray) -> np.ndarray:
+    """For an array whose last axis is indexed by vertex, whether each vertex
+    pair u < v, in np.triu_indices order, gets equal values."""
+    us, vs = _pairs(values.shape[-1])
+    return values[..., us] == values[..., vs]
+
+
+def _row_limit(n: int) -> int:
+    """_BLOCK, shrinking with n**2 above DEFAULT_PD_CAP so that rows x n x n
+    temporaries never outgrow those at n = DEFAULT_PD_CAP."""
+    return max(1, min(_BLOCK, _BLOCK * DEFAULT_PD_CAP**2 // n**2))
+
+
+def _landmark_ties(dist: np.ndarray) -> Iterator[np.ndarray]:
+    """The ties of each landmark's distance row (row w, column p: w ties pair
+    p), in consecutive chunks of at most _row_limit(n) landmarks."""
+    step = _row_limit(len(dist))
+    for i in range(0, len(dist), step):
+        yield _ties(dist[i : i + step])
+
+
 def metric_dimension_exact(
     dm: DistanceMatrix, cap: int = DEFAULT_DIM_CAP
 ) -> tuple[int, tuple[int, ...]]:
-    """Smallest resolving set, searching cardinalities ascending.
+    """Smallest resolving set: subsets by size, then in lexicographic order.
 
-    Subsets of each size are tried in lexicographic order and the first
-    resolving one is returned, so witnesses are deterministic.
+    Landmark w becomes one int with bit p set iff w ties vertex pair p; the
+    first subset whose ints AND to 0 is returned.  Singletons are tried while
+    the ints are built, so a graph of dimension 1 builds only the first.
     """
     n = len(dm)
-    if n > cap:
-        raise SolverCapError(f"n={n} exceeds the metric-dimension cap {cap}")
+    check_cap(n, cap, "metric-dimension")
     if n == 1:
         return (0, ())
-    rows = [tuple(r) for r in dm]
-    for m in range(1, n + 1):
+    masks: list[int] = []
+    for ties in _landmark_ties(np.array(dm, dtype=np.int16)):
+        for row in np.packbits(ties, axis=1, bitorder="little"):
+            masks.append(int.from_bytes(row.tobytes(), "little"))
+            if not masks[-1]:
+                return (1, (len(masks) - 1,))
+    for m in range(2, n + 1):
         for subset in combinations(range(n), m):
-            seen: set[tuple[int, ...]] = set()
-            for v in range(n):
-                row = rows[v]
-                key = tuple(row[u] for u in subset)
-                if key in seen:
-                    break
-                seen.add(key)
-            else:
+            if not reduce(and_, [masks[w] for w in subset]):
                 return (m, subset)
     raise AssertionError("the full vertex set always resolves")
 
@@ -181,45 +212,36 @@ def metric_dimension_exact(
 # -- exact partition dimension -------------------------------------------------
 
 
-def _pd_lower_bound(dm: DistanceMatrix) -> int:
-    """Sound lower bound on pd from twin classes.
-
-    Vertices with identical open (or closed) neighbourhoods have identical
-    distances to every other vertex, so no part may contain two of them; the
-    largest such class therefore forces at least that many parts.
-    """
-    n = len(dm)
-    open_groups: dict[frozenset[int], int] = {}
-    closed_groups: dict[frozenset[int], int] = {}
-    for v in range(n):
-        nb = frozenset(u for u in range(n) if dm[v][u] == 1)
-        open_groups[nb] = open_groups.get(nb, 0) + 1
-        cl = nb | {v}
-        closed_groups[cl] = closed_groups.get(cl, 0) + 1
-    biggest = max(max(open_groups.values()), max(closed_groups.values()))
-    return max(2, biggest)
+def _pd_lower_bound(dist: np.ndarray) -> int:
+    """Sound lower bound on pd: no part may hold two distance twins, a pair
+    that only its own two vertices separate, so the largest twin class (an
+    open or a closed neighbourhood class) forces that many parts."""
+    separated = 0
+    for ties in _landmark_ties(dist):
+        separated = separated + (~ties).sum(axis=0)
+        if separated.min() > 2:
+            return 2
+    partners = np.bincount(np.concatenate(_pairs(len(dist)))[np.tile(separated == 2, 2)])
+    return max(2, 1 + int(partners.max()))
 
 
 @lru_cache(maxsize=None)
 def _completions(s: int, mx: int, t: int) -> np.ndarray:
     """Every length-s tail that takes an RGS prefix with maximum label mx to
-    exactly t blocks, in lexicographic order (read-only, cached; the dtype is
-    the smallest unsigned one that holds every label, so t may exceed 256).
-
-    The tails are built column by column: each row branches into the labels
-    0..mx+1 (capped at t-1), and rows that can no longer reach t blocks in
-    the positions left are dropped.
+    exactly t blocks, in lexicographic order (read-only, cached, in the
+    smallest unsigned dtype that holds t - 1).  Built column by column: each
+    row branches into the labels 0..min(mx+1, t-1), and rows that can no
+    longer reach t blocks in the positions left are dropped.
     """
     label = np.min_scalar_type(t - 1)
     arr = np.zeros((1, 0), dtype=label)
     top = np.full(1, mx, dtype=np.int64)
     for i in range(s):
-        remaining = s - 1 - i
         opts = np.minimum(top + 2, t)
         rep = np.repeat(np.arange(arr.shape[0]), opts)
         vals = np.arange(rep.size) - np.repeat(np.cumsum(opts) - opts, opts)
         new_top = np.maximum(top[rep], vals)
-        keep = (t - 1 - new_top) <= remaining
+        keep = (t - 1 - new_top) <= s - 1 - i
         arr = np.concatenate([arr[rep[keep]], vals[keep, None].astype(label)], axis=1)
         top = new_top[keep]
     arr = arr[top == t - 1]
@@ -229,25 +251,20 @@ def _completions(s: int, mx: int, t: int) -> np.ndarray:
 
 def _rgs_blocks(n: int, t: int) -> Iterator[np.ndarray]:
     """Every restricted-growth string of length n with exactly t blocks, in
-    lexicographic order, as arrays of at most _BLOCK rows.
+    lexicographic order, as arrays of at most _row_limit(n) rows.
 
-    Above the default cap the row limit shrinks with n**2, so that the
-    evaluator's rows x n x n temporaries never outgrow those at n = 12.
     Prefix positions are fixed one at a time until the t**s bound on the
-    tails of the s positions left is within the limit; each prefix followed
-    by its cached completions is one piece.  A piece can be far smaller than
-    its bound, so consecutive pieces are packed into one block, up to the
-    limit and up to the number of rows already yielded.  Blocks thus grow
-    from the first piece, and a search that stops early evaluates at most
-    twice the rows it needed plus one piece.
+    tails of the s positions left is within the limit; each prefix with its
+    cached completions is one piece.  Pieces are packed into blocks up to the
+    limit and up to the rows already yielded, so a search that stops early
+    evaluates at most twice the rows it needed plus one piece.
     """
-    limit = max(1, min(_BLOCK, _BLOCK * DEFAULT_PD_CAP**2 // n**2))
+    limit = _row_limit(n)
 
     def pieces() -> Iterator[np.ndarray]:
         # Depth-first over prefixes on an explicit stack, children pushed in
         # reverse so they pop in lex order.  An entry (fixed, mx, val) puts
-        # val at position fixed - 1; the positions before it still hold the
-        # entry's ancestors, since only deeper entries ran in between.
+        # val at position fixed - 1, after its ancestors' values.
         prefix = [0] * n
         stack = [(1, 0, 0)]
         while stack:
@@ -278,52 +295,34 @@ def _rgs_blocks(n: int, t: int) -> Iterator[np.ndarray]:
 
 
 def _eval_block(block: np.ndarray, dist: np.ndarray, t: int) -> int:
-    """Index of the first resolving partition in the block, or -1.
-
-    A partition resolves iff no two vertices are tied on every block
-    distance; each row keeps a "still tied" flag per vertex pair u < v and
-    ANDs in the equality of the pair's distances to block j, for every j.
-    """
-    m, n = block.shape
-    us, vs = np.triu_indices(n, 1)
-    tied = np.ones((m, us.size), dtype=bool)
+    """Index of the first resolving partition in the block, or -1: the first
+    row whose ties, ANDed over the distances to each block j, are all False."""
+    tied = True
     for j in range(t):
-        d = np.where((block == j)[:, :, None], dist, _SENTINEL).min(axis=1)
-        tied &= d[:, us] == d[:, vs]
+        tied &= _ties(np.where((block == j)[:, :, None], dist, _SENTINEL).min(axis=1))
     ok = ~tied.any(axis=1)
     return int(np.argmax(ok)) if ok.any() else -1
-
-
-def _blocks_from_rgs(rgs: Sequence[int], t: int) -> list[list[int]]:
-    blocks: list[list[int]] = [[] for _ in range(t)]
-    for v, b in enumerate(rgs):
-        blocks[int(b)].append(v)
-    return blocks
 
 
 def partition_dimension_exact(
     dm: DistanceMatrix, cap: int = DEFAULT_PD_CAP
 ) -> tuple[int, OrderedPartition]:
-    """Smallest resolving partition, enumerating block counts ascending.
+    """Smallest resolving partition, enumerating block counts ascending from
+    the twin-class lower bound (fewer blocks cannot resolve).
 
-    For each t the partitions with exactly t blocks are streamed as
-    restricted-growth strings in lexicographic order, in blocks of at most
-    _BLOCK rows, and each block goes through the one pairwise-tie evaluator.
-    The returned partition is the first resolving one in that order for the
-    minimal t, with parts ordered by smallest element.  Block counts below
-    the twin-class lower bound are provably infeasible and skipped without
-    enumeration.
+    For each t the restricted-growth strings with exactly t blocks stream in
+    lexicographic order through the pairwise-tie evaluator; the first
+    resolving one is returned, with parts ordered by smallest element.
     """
     n = len(dm)
-    if n > cap:
-        raise SolverCapError(f"n={n} exceeds the partition-dimension cap {cap}")
+    check_cap(n, cap, "partition-dimension")
     if n == 1:
         return (1, OrderedPartition(parts=(frozenset({0}),)))
     dist = np.array(dm, dtype=np.int16)
-    for t in range(_pd_lower_bound(dm), n + 1):
+    for t in range(_pd_lower_bound(dist), n + 1):
         for block in _rgs_blocks(n, t):
             idx = _eval_block(block, dist, t)
             if idx >= 0:
-                parts = _blocks_from_rgs(block[idx], t)
-                return (t, OrderedPartition(parts=tuple(frozenset(b) for b in parts)))
+                parts = [frozenset(np.flatnonzero(block[idx] == j).tolist()) for j in range(t)]
+                return (t, OrderedPartition(parts=tuple(parts)))
     raise AssertionError("the singleton partition always resolves")

@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, Sequence
 from .constructions import CONSTRUCTIONS, CertifiedConstruction
 from .errors import PreconditionError, SolverCapError, UdimError
 from .graphs import (
-    DistanceMatrix,
     Graph,
     UnicyclicGraph,
     all_pairs_distances,
@@ -40,6 +39,7 @@ from .resolve import (
     DEFAULT_DIM_CAP,
     DEFAULT_PD_CAP,
     OrderedPartition,
+    check_cap,
     metric_dimension_exact,
     partition_dimension_exact,
 )
@@ -242,21 +242,21 @@ def _bracelet_canonical(tup: tuple[Code, ...]) -> tuple[Code, ...]:
     return best
 
 
+def _code_edges(root: int, code: Code, label: int, edges: list[tuple[int, int]]) -> int:
+    """Append the edges of the rooted tree ``code`` hung from ``root``, its
+    new vertices labelled in preorder from ``label``; return the next label."""
+    for child in code:
+        edges.append((root, label))
+        label = _code_edges(label, child, label + 1, edges)
+    return label
+
+
 def _build_decorated_cycle(k: int, decoration: tuple[Code, ...]) -> UnicyclicGraph:
     edges = [(i, (i + 1) % k) for i in range(k)]
-    counter = k
-
-    def attach(root: int, code: Code) -> None:
-        nonlocal counter
-        for child in code:
-            label = counter
-            counter += 1
-            edges.append((root, label))
-            attach(label, child)
-
+    label = k
     for i, code in enumerate(decoration):
-        attach(i, code)
-    return validate_unicyclic(graph_from_edges(counter, edges))
+        label = _code_edges(i, code, label, edges)
+    return validate_unicyclic(graph_from_edges(label, edges))
 
 
 def _unicyclic_classes(n: int) -> Iterator[UnicyclicGraph]:
@@ -320,17 +320,7 @@ def gen_exhaustive_trees(n: int) -> Iterator[Graph]:
     seen: set[tuple] = set()
     for code in _rooted_trees(n):
         edges: list[tuple[int, int]] = []
-        counter = 1
-
-        def attach(root: int, c: Code) -> None:
-            nonlocal counter
-            for child in c:
-                label = counter
-                counter += 1
-                edges.append((root, label))
-                attach(label, child)
-
-        attach(0, code)
+        _code_edges(0, code, 1, edges)
         g = graph_from_edges(n, edges)
         key = _free_code(g)
         if key not in seen:
@@ -505,26 +495,21 @@ def _bound_records(
     return tuple(records)
 
 
-def _exact(dm: DistanceMatrix, dim_cap: int, pd_cap: int) -> tuple:
-    """(dim, dim witness, pd, pd witness); a value above its cap is None."""
-    try:
-        dim = metric_dimension_exact(dm, cap=dim_cap)
-    except SolverCapError:
-        dim = (None, None)
-    try:
-        pd = partition_dimension_exact(dm, cap=pd_cap)
-    except SolverCapError:
-        pd = (None, None)
+def _exact(g: Graph, dim_cap: int, pd_cap: int) -> tuple:
+    """(dim, dim witness, pd, pd witness); a value above its cap is None.  The
+    distance matrix is built only if n is within one of the caps."""
+    dm = all_pairs_distances(g) if g.n <= max(dim_cap, pd_cap) else None
+    dim = metric_dimension_exact(dm, cap=dim_cap) if g.n <= dim_cap else (None, None)
+    pd = partition_dimension_exact(dm, cap=pd_cap) if g.n <= pd_cap else (None, None)
     return (*dim, *pd)
 
 
 def _tree_dim(g: Graph, dim_cap: int) -> int:
     """Exact dim of a tree when within cap, else the leaf/exterior formula."""
-    try:
+    if g.n <= dim_cap:
         return metric_dimension_exact(all_pairs_distances(g), cap=dim_cap)[0]
-    except SolverCapError:
-        ex = exterior_major_count(g)
-        return 1 if ex == 0 else len(pendant_vertices(g)) - ex
+    ex = exterior_major_count(g)
+    return 1 if ex == 0 else len(pendant_vertices(g)) - ex
 
 
 def bounds_report(
@@ -544,9 +529,7 @@ def bounds_report(
     g = u.graph
     inv = graph_invariants(g, unicyclic=u)
     _, eps_tree = epsilon(u)
-    exact_dim, dim_witness, exact_pd, pd_witness = _exact(
-        all_pairs_distances(g), dim_cap, pd_cap
-    )
+    exact_dim, dim_witness, exact_pd, pd_witness = _exact(g, dim_cap, pd_cap)
 
     dim_detail: dict[str, int] = {}
     leaf_detail: dict[str, int] = {}
@@ -627,9 +610,7 @@ def tree_report(
     if not is_tree(g):
         raise UdimError("tree_report needs a tree")
     inv = graph_invariants(g)
-    exact_dim, dim_witness, exact_pd, pd_witness = _exact(
-        all_pairs_distances(g), dim_cap, pd_cap
-    )
+    exact_dim, dim_witness, exact_pd, pd_witness = _exact(g, dim_cap, pd_cap)
     is_path = inv.ex == 0
     # The pd-of-a-path rule needs at least two vertices; a lone vertex has pd 1.
     records = _bound_records(
@@ -727,10 +708,10 @@ class ScanResult:
 
 def _scan_one(args: tuple[int, str, UnicyclicGraph, int]) -> ScanRecord:
     _, instance_id, u, pd_cap = args
-    if u.graph.n > pd_cap:
-        raise SolverCapError(
-            f"instance {instance_id}: n={u.graph.n} exceeds the partition-dimension cap {pd_cap}"
-        )
+    try:
+        check_cap(u.graph.n, pd_cap, "partition-dimension")
+    except SolverCapError as exc:
+        raise SolverCapError(f"instance {instance_id}: {exc}") from None
     pd_g, _ = partition_dimension_exact(all_pairs_distances(u.graph), cap=pd_cap)
     entries = []
     for tree in spanning_trees(u):

@@ -99,6 +99,29 @@ def test_pd_on_a_long_path_with_a_raised_cap(capsys):
     assert code == 0 and out.startswith("pd = 2\n")
 
 
+def test_no_distance_matrix_for_the_solvers_above_both_caps(monkeypatch, capsys):
+    # Above both caps the solvers' callers answer from the caps alone: a cap
+    # error, or the tree-dim formula, without an all-pairs distance matrix.
+    sizes = []
+
+    def recording(g):
+        sizes.append(g.n)
+        return udim.graphs.all_pairs_distances(g)
+
+    monkeypatch.setattr(udim.cli, "all_pairs_distances", recording)
+    monkeypatch.setattr(udim.verification, "all_pairs_distances", recording)
+    for argv, cap in [
+        (("dim", "--gen", "cycle:40"), "metric-dimension cap 16"),
+        (("pd", "--gen", "cycle:40"), "partition-dimension cap 12"),
+        (("construct", "lift", "--gen", "cycle:40"), "partition-dimension cap 12"),
+        (("analyze", "--gen", "cycle:40"), None),
+        (("analyze", "--gen", "path:40"), None),
+    ]:
+        assert main(list(argv)) == (1 if cap else 0)
+        assert capsys.readouterr().err == (f"error: n=40 exceeds the {cap}\n" if cap else "")
+    assert sizes == []
+
+
 def test_construct_kappa_tau(capsys):
     code, out = run(capsys, "construct", "kappa-tau", "--gen", "sun:4")
     assert code == 0

@@ -110,6 +110,12 @@ def test_unit_terminal_on_net():
     assert cert.payload.to_lists() == [[0, 3], [1, 4], [2, 5]]
 
 
+def test_unit_terminal_orients_the_cycle_toward_the_smaller_neighbour():
+    # Re-anchored at the exterior major 2, the triangle runs 2, 0, 1.
+    u = validate_unicyclic(graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]))
+    assert unit_terminal_partition(u).payload.to_lists() == [[2, 3], [0], [1]]
+
+
 def test_unit_terminal_rejects_high_terminal_degree():
     with pytest.raises(PreconditionError, match="terminal degree"):
         unit_terminal_partition(gen_sun(3))
@@ -213,6 +219,18 @@ def test_lift_on_c4k():
         cert = lift_tree_partition(u, witness, tree)
         assert cert.verified
         assert cert.size <= pd_t + 3
+
+
+def test_lift_anchors_the_deleted_edge_and_the_vertex_opposite():
+    # On the cycle 0..6 the re-anchored cycle runs from a through b, so the
+    # third singleton sits three steps from a in the direction of b.
+    u = gen_cycle(7)
+    for tree in spanning_trees(u):
+        a, b = tree.deleted_edge
+        opposite = (a + 3) % 7 if b == a + 1 else (a - 3) % 7
+        _, witness = partition_dimension_exact(all_pairs_distances(tree.graph))
+        parts = set(lift_tree_partition(u, witness, tree).payload.parts)
+        assert {frozenset({a}), frozenset({b}), frozenset({opposite})} <= parts
 
 
 def test_lift_of_singletons_stays_singletons():

@@ -64,6 +64,13 @@ def test_parse_vertex_gap_is_error():
         parse_edge_list("0 2")
 
 
+def test_parse_sparse_ids_give_a_bounded_message():
+    # Density is decided from the ids in use, so a huge id costs nothing.
+    with pytest.raises(GraphFormatError, match="dense") as exc:
+        parse_edge_list("0 1\n1 1000000000000\n")
+    assert str(exc.value).endswith("999999999998 missing, the first is 2")
+
+
 def test_parse_malformed_line_is_error():
     with pytest.raises(GraphFormatError, match="two vertex ids"):
         parse_edge_list("0 1 2")

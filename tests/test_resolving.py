@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, islice, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,14 @@ from udim import (
     set_representation,
 )
 from udim import resolve
-from udim.resolve import _BLOCK, DEFAULT_PD_CAP, _rgs_blocks
+from udim.resolve import (
+    _BLOCK,
+    DEFAULT_PD_CAP,
+    _landmark_ties,
+    _pd_lower_bound,
+    _rgs_blocks,
+    _ties,
+)
 
 from .strategies import connected_graphs, unicyclic_graphs
 
@@ -164,15 +173,25 @@ def test_single_vertex_graph_edge_cases():
     assert partition_dimension_exact(dm)[0] == 1
 
 
-def _dim_by_direct_enumeration(dm) -> int:
-    # Independent oracle: try every subset, smallest first.
+def _dim_by_direct_enumeration(dm) -> tuple[int, tuple[int, ...]]:
+    # Independent oracle: try every subset, smallest first, each size in lex
+    # order; the first resolving subset is the witness.
     n = len(dm)
     for m in range(n + 1):
         for subset in combinations(range(n), m):
             vectors = {tuple(dm[v][s] for s in subset) for v in range(n)}
             if len(vectors) == n:
-                return m
+                return m, subset
     raise AssertionError
+
+
+def _twin_bound_by_neighbourhoods(dm) -> int:
+    # Independent oracle: the largest class of equal open or equal closed
+    # neighbourhoods, and at least 2.
+    n = len(dm)
+    open_nb = [frozenset(u for u in range(n) if dm[v][u] == 1) for v in range(n)]
+    closed_nb = [nb | {v} for v, nb in enumerate(open_nb)]
+    return max(2, *Counter(open_nb).values(), *Counter(closed_nb).values())
 
 
 def _pd_by_function_enumeration(dm) -> tuple[int, list[list[int]]]:
@@ -198,7 +217,42 @@ def _pd_by_function_enumeration(dm) -> tuple[int, list[list[int]]]:
 @settings(max_examples=30)
 def test_dim_solver_matches_direct_enumeration(u):
     dm = all_pairs_distances(u.graph)
-    assert metric_dimension_exact(dm)[0] == _dim_by_direct_enumeration(dm)
+    assert metric_dimension_exact(dm) == _dim_by_direct_enumeration(dm)
+
+
+def test_dim_witness_is_the_oracles_first_subset(unicyclic_classes, tree_classes):
+    graphs = [u.graph for n in range(3, 9) for u in unicyclic_classes[n]]
+    graphs += [t for n in range(1, 10) for t in tree_classes[n]]
+    for g in graphs:
+        dm = all_pairs_distances(g)
+        assert metric_dimension_exact(dm) == _dim_by_direct_enumeration(dm)
+
+
+def test_twin_bound_matches_the_neighbourhood_classes(unicyclic_classes):
+    from udim import spanning_trees
+
+    for n in range(3, 11):
+        for u in unicyclic_classes[n]:
+            for g in [u.graph] + [tree.graph for tree in spanning_trees(u)]:
+                dm = all_pairs_distances(g)
+                expected = _twin_bound_by_neighbourhoods(dm)
+                assert _pd_lower_bound(np.array(dm, dtype=np.int16)) == expected
+
+
+@given(connected_graphs())
+def test_twin_bound_matches_the_neighbourhood_classes_on_random_graphs(g):
+    dm = all_pairs_distances(g)
+    expected = _twin_bound_by_neighbourhoods(dm)
+    assert _pd_lower_bound(np.array(dm, dtype=np.int16)) == expected
+
+
+@pytest.mark.parametrize("n", [5, 12, 40, 300])
+def test_landmark_ties_are_bounded_chunks_of_every_row(n):
+    dist = np.array(all_pairs_distances(gen_path(n)), dtype=np.int16)
+    chunks = list(_landmark_ties(dist))
+    assert all(len(c) * n * n <= max(n * n, _BLOCK * DEFAULT_PD_CAP**2) for c in chunks)
+    for w in (0, n // 2, n - 1):
+        assert (np.concatenate(chunks)[w] == _ties(dist[w])).all()
 
 
 @given(connected_graphs(max_n=6))
