@@ -26,6 +26,8 @@ from udim.cli import main  # noqa: E402
 
 TREE = "tests/golden/tree.edges"
 UNIT = "tests/golden/unit_terminal.edges"
+RESOLVING = "tests/golden/path6-resolving.part"
+TWINS = "tests/golden/path6-twins.part"
 JSON = ["--format", "json"]
 
 # case id -> (argv, store a digest instead of the full stdout)
@@ -49,6 +51,17 @@ CASES = {
     "scan-random-100-n11": (
         ["scan", "--random", "100", "--n", "11", "--seed", "0", *JSON], True
     ),
+    **{
+        f"{command}-{spec.replace(':', '')}-{fmt}": (
+            [command, "--gen", spec, *(JSON if fmt == "json" else [])], False
+        )
+        for command, spec in (("dim", "path:6"), ("pd", "cycle:7"), ("gen", "sun:3"))
+        for fmt in ("text", "json")
+    },
+    "verify-resolving": (["verify", RESOLVING, "--gen", "path:6"], False),
+    "verify-twins": (["verify", TWINS, "--gen", "path:6"], False),
+    "construct-kappa-tau-text": (["construct", "kappa-tau", "--gen", "c4k:3"], False),
+    "scan-exhaustive-3-6-text": (["scan", "--exhaustive", "3..6"], False),
 }
 
 
