@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 input/config error, 2 proven-bound violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -52,14 +53,9 @@ EXIT_INPUT = 1
 EXIT_BOUND_VIOLATION = 2
 EXIT_NOT_RESOLVING = 3
 
-def _color_enabled() -> bool:
-    if os.environ.get("UDIM_COLOR", "") == "0":
-        return False
-    return sys.stdout.isatty()
-
 
 def _paint(text: str, code: str) -> str:
-    if _color_enabled():
+    if os.environ.get("UDIM_COLOR", "") != "0" and sys.stdout.isatty():
         return f"\033[{code}m{text}\033[0m"
     return text
 
@@ -78,29 +74,35 @@ def _check_caps(args: argparse.Namespace) -> None:
             raise UdimError(f"--{attr.replace('_', '-')} must be positive")
 
 
+# ``--gen`` name -> (argument letter shown in the help, function building the graph).
+# Each lambda looks the generator up at call time, so a wrapper installed on
+# it (a profiler, the benchmark's tracer) sees every call.
+GENERATORS = {
+    "c4k": ("K", lambda k: gen_c4k(k).graph),
+    "sun": ("K", lambda k: gen_sun(k).graph),
+    "cycle": ("N", lambda n: gen_cycle(n).graph),
+    "path": ("N", lambda n: gen_path(n)),
+}
+
+
 def _load_graph(args: argparse.Namespace) -> tuple[Graph, str]:
     """Resolve the single input source: a file path or a --gen spec."""
     _check_caps(args)
-    if getattr(args, "gen", None) and getattr(args, "file", None):
+    if args.gen and getattr(args, "file", None):
         raise UdimError("give either an input file or --gen, not both")
-    if getattr(args, "gen", None):
+    if args.gen:
         spec = args.gen
         try:
             kind, _, arg = spec.partition(":")
             value = int(arg)
         except ValueError:
             raise UdimError(f"bad generator spec {spec!r}; expected name:number") from None
-        if kind == "c4k":
-            return gen_c4k(value).graph, spec
-        if kind == "sun":
-            return gen_sun(value).graph, spec
-        if kind == "cycle":
-            return gen_cycle(value).graph, spec
-        if kind == "path":
-            return gen_path(value), spec
-        raise UdimError(
-            f"unknown generator {kind!r}; expected c4k, sun, cycle or path"
-        )
+        if kind not in GENERATORS:
+            *names, last = GENERATORS
+            raise UdimError(
+                f"unknown generator {kind!r}; expected {', '.join(names)} or {last}"
+            )
+        return GENERATORS[kind][1](value), spec
     if getattr(args, "file", None):
         with open(args.file, "rb") as fh:
             return parse_edge_list(fh.read()), args.file
@@ -191,28 +193,30 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_BOUND_VIOLATION if report.violations else EXIT_OK
 
 
-def _cmd_exact(args: argparse.Namespace, which: str) -> int:
+# ``dim``/``pd`` -> (solver named in the cap message, solver, independent
+# checker, witness as printed).  The lambdas look their functions up at call
+# time, like GENERATORS'.
+EXACT = {
+    "dim": ("metric-dimension", lambda dm, cap: metric_dimension_exact(dm, cap=cap),
+            lambda dm, w: check_resolving_set(dm, w), sorted),
+    "pd": ("partition-dimension", lambda dm, cap: partition_dimension_exact(dm, cap=cap),
+           lambda dm, w: check_resolving_partition(dm, w), OrderedPartition.to_lists),
+}
+
+
+def _cmd_exact(args: argparse.Namespace) -> int:
+    solver, solve, check, shown = EXACT[args.command]
+    cap = getattr(args, f"{args.command}_cap")
     g, _ = _load_graph(args)
-    if which == "dim":
-        check_cap(g.n, args.dim_cap, "metric-dimension")
-        dm = all_pairs_distances(g)
-        value, witness = metric_dimension_exact(dm, cap=args.dim_cap)
-        if not check_resolving_set(dm, witness).resolving:
-            raise UdimError("internal error: solver witness failed re-verification")
-        payload = {"dim": value, "witness": sorted(witness)}
-        text = f"dim = {value}\nwitness = {sorted(witness)}"
-    else:
-        check_cap(g.n, args.pd_cap, "partition-dimension")
-        dm = all_pairs_distances(g)
-        value, partition = partition_dimension_exact(dm, cap=args.pd_cap)
-        if not check_resolving_partition(dm, partition).resolving:
-            raise UdimError("internal error: solver witness failed re-verification")
-        payload = {"pd": value, "witness": partition.to_lists()}
-        text = f"pd = {value}\nwitness = {partition.to_lists()}"
+    check_cap(g.n, cap, solver)
+    dm = all_pairs_distances(g)
+    value, witness = solve(dm, cap)
+    if not check(dm, witness).resolving:
+        raise UdimError("internal error: solver witness failed re-verification")
     if args.format == "json":
-        _print_json(payload)
+        _print_json({args.command: value, "witness": shown(witness)})
     else:
-        print(text)
+        print(f"{args.command} = {value}\nwitness = {shown(witness)}")
     return EXIT_OK
 
 
@@ -345,13 +349,20 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _add_common(parser: argparse.ArgumentParser, with_file: bool = True) -> None:
     if with_file:
         parser.add_argument("file", nargs="?", help="edge-list file (or use --gen)")
-    parser.add_argument("--gen", help="generator spec: c4k:K, sun:K, cycle:N, path:N")
+    specs = ", ".join(f"{name}:{letter}" for name, (letter, _) in GENERATORS.items())
+    parser.add_argument("--gen", help=f"generator spec: {specs}")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP)
     parser.add_argument("--pd-cap", type=int, default=DEFAULT_PD_CAP)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; each command binds its handler.
+
+    Cached because building the tree costs about 2 ms, which in-process
+    callers of ``main`` would otherwise pay on every call.
+    """
     parser = argparse.ArgumentParser(
         prog="udim",
         description=(
@@ -361,24 +372,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="invariants, exact values and the bound chain")
-    _add_common(p)
+    def command(name, handler, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("dim", help="exact metric dimension with witness set")
-    _add_common(p)
+    _add_common(command("analyze", _cmd_analyze,
+                        "invariants, exact values and the bound chain"))
+    _add_common(command("dim", _cmd_exact, "exact metric dimension with witness set"))
+    _add_common(command("pd", _cmd_exact,
+                        "exact partition dimension with witness partition"))
 
-    p = sub.add_parser("pd", help="exact partition dimension with witness partition")
-    _add_common(p)
-
-    p = sub.add_parser("construct", help="build and verify a named construction")
+    p = command("construct", _cmd_construct, "build and verify a named construction")
     p.add_argument("name", choices=[name for name, _, _ in CONSTRUCTIONS] + ["lift"])
     _add_common(p)
 
-    p = sub.add_parser("verify", help="check a partition file against a graph")
+    p = command("verify", _cmd_verify, "check a partition file against a graph")
     p.add_argument("partition", help="partition file: one part per line")
     _add_common(p)
 
-    p = sub.add_parser("scan", help="pd gap scan over spanning trees")
+    p = command("scan", _cmd_scan, "pd gap scan over spanning trees")
     p.add_argument("--exhaustive", help="range A..B of vertex counts")
     p.add_argument("--labeled", action="store_true",
                    help="scan every labeled graph instead of one per class")
@@ -389,35 +402,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--pd-cap", type=int, default=DEFAULT_PD_CAP)
 
-    p = sub.add_parser("gen", help="emit a generated graph as an edge list")
+    p = command("gen", _cmd_gen, "emit a generated graph as an edge list")
     _add_common(p, with_file=False)
-
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; 2 is reserved for bound violations.
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "dim":
-            return _cmd_exact(args, "dim")
-        if args.command == "pd":
-            return _cmd_exact(args, "pd")
-        if args.command == "construct":
-            return _cmd_construct(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "scan":
-            return _cmd_scan(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        raise UdimError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except (UdimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

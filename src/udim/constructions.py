@@ -291,7 +291,7 @@ def lift_tree_partition(
     """
     if tree.parent != u:
         raise PreconditionError("spanning tree does not belong to this graph")
-    if tree.deleted_edge not in u.cycle_edge_set:
+    if tree.deleted_edge not in u.cycle_edges():
         raise PreconditionError(
             f"deleted edge {tree.deleted_edge} is not a cycle edge"
         )

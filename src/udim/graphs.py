@@ -48,9 +48,6 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph on vertices 0..n-1, rejecting loops, duplicates and bad ids."""
@@ -179,7 +176,6 @@ class UnicyclicGraph:
 
     graph: Graph
     cycle: tuple[int, ...]
-    cycle_edge_set: frozenset[tuple[int, int]]
 
     @property
     def k(self) -> int:
@@ -230,11 +226,7 @@ def validate_unicyclic(g: Graph) -> UnicyclicGraph:
         prev, cur = cycle[-2], cycle[-1]
         nxt = next(v for v in g.adjacency[cur] if v in core_set and v != prev)
         cycle.append(nxt)
-    cyc = tuple(cycle)
-    edge_set = frozenset(
-        _norm_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))
-    )
-    return UnicyclicGraph(graph=g, cycle=cyc, cycle_edge_set=edge_set)
+    return UnicyclicGraph(graph=g, cycle=tuple(cycle))
 
 
 @dataclass(frozen=True)

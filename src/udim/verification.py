@@ -12,7 +12,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .constructions import CONSTRUCTIONS, CertifiedConstruction
@@ -170,8 +170,11 @@ def gen_exhaustive_unicyclic(n: int, dedup: bool = False) -> Iterator[UnicyclicG
     filtering the labeled stream (identical coverage of every per-graph
     claim, massively fewer instances).
     """
-    if not 3 <= n <= 10:
-        raise UdimError("exhaustive generation supports 3 <= n <= 10")
+    if not 3 <= n <= (12 if dedup else 10):
+        raise UdimError(
+            "exhaustive generation supports 3 <= n <= 10, "
+            "or 3 <= n <= 12 with one graph per class"
+        )
     if dedup:
         yield from _unicyclic_classes(n)
         return
@@ -269,34 +272,6 @@ def _unicyclic_classes(n: int) -> Iterator[UnicyclicGraph]:
                 yield _build_decorated_cycle(k, canon)
 
 
-def _tree_centroids(g: Graph) -> list[int]:
-    n = g.n
-    size = [1] * n
-    heaviest = [0] * n
-    order: list[int] = []
-    parent = [-1] * n
-    stack = [0]
-    visited = [False] * n
-    while stack:
-        v = stack.pop()
-        visited[v] = True
-        order.append(v)
-        for w in g.adjacency[v]:
-            if not visited[w]:
-                parent[w] = v
-                stack.append(w)
-    for v in reversed(order):
-        for w in g.adjacency[v]:
-            if w != parent[v]:
-                size[v] += size[w]
-                heaviest[v] = max(heaviest[v], size[w])
-    result = []
-    for v in range(n):
-        if max(heaviest[v], n - size[v]) <= n // 2:
-            result.append(v)
-    return sorted(result)
-
-
 def _rooted_code(g: Graph, root: int, banned: int = -1) -> Code:
     children = []
     for w in g.adjacency[root]:
@@ -305,12 +280,9 @@ def _rooted_code(g: Graph, root: int, banned: int = -1) -> Code:
     return tuple(sorted(children, reverse=True))
 
 
-def _free_code(g: Graph) -> tuple:
-    centroids = _tree_centroids(g)
-    if len(centroids) == 1:
-        return ("c", _rooted_code(g, centroids[0]))
-    a, b = centroids
-    return ("e", tuple(sorted((_rooted_code(g, a, b), _rooted_code(g, b, a)))))
+def _free_code(g: Graph) -> Code:
+    """The smallest rooted code over all roots: equal iff the trees are isomorphic."""
+    return min(_rooted_code(g, root) for root in range(g.n))
 
 
 def gen_exhaustive_trees(n: int) -> Iterator[Graph]:
@@ -345,16 +317,9 @@ class BoundRecord:
     detail: dict | None = None
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "target": self.target,
-            "kind": self.kind,
-            "value": self.value,
-            "applicable": self.applicable,
-            "satisfied": self.satisfied,
-            "certificate": self.certificate,
-            "detail": self.detail,
-        }
+        # The fields in declaration order.  dataclasses.asdict would deep-copy
+        # ``detail`` and takes about 40 times as long.
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -706,8 +671,7 @@ class ScanResult:
         }
 
 
-def _scan_one(args: tuple[int, str, UnicyclicGraph, int]) -> ScanRecord:
-    _, instance_id, u, pd_cap = args
+def _scan_one(instance_id: str, u: UnicyclicGraph, pd_cap: int) -> ScanRecord:
     try:
         check_cap(u.graph.n, pd_cap, "partition-dimension")
     except SolverCapError as exc:
@@ -751,14 +715,12 @@ def conjecture_scan(
         id_list = list(ids)
         if len(id_list) != len(graph_list):
             raise UdimError("ids and graphs must have the same length")
-    tasks = [
-        (i, id_list[i], graph_list[i], pd_cap) for i in range(len(graph_list))
-    ]
-    if jobs > 1 and len(tasks) > 1:
+    caps = repeat(pd_cap, len(graph_list))
+    if jobs > 1 and len(graph_list) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_scan_one, tasks, chunksize=8))
+            records = list(pool.map(_scan_one, id_list, graph_list, caps, chunksize=8))
     else:
-        records = [_scan_one(t) for t in tasks]
+        records = list(map(_scan_one, id_list, graph_list, caps))
 
     histogram: dict[int, int] = {}
     conjecture = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
@@ -343,3 +344,50 @@ def test_construct_failure_exits_with_bound_violation(tmp_path, capsys):
     assert code == 2
     assert "verified: no" in out
     assert "(3, 9)" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--gen", "c4k:zzz"],
+         "bad generator spec 'c4k:zzz'; expected name:number"),
+        (["analyze", "--gen", "nope:3"],
+         "unknown generator 'nope'; expected c4k, sun, cycle or path"),
+        (["analyze", "graph.el", "--gen", "cycle:4"],
+         "give either an input file or --gen, not both"),
+        (["analyze"], "no input given; pass an edge-list file or --gen name:number"),
+        (["dim", "--gen", "path:4", "--dim-cap", "0"], "--dim-cap must be positive"),
+    ],
+    ids=["bad-spec", "unknown-generator", "file-and-gen", "no-input", "dim-cap"],
+)
+def test_input_error_messages(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    main(["gen", "--gen", "path:3"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in ("gen", "--gen", "path:3"), ("dim", "--gen", "path:4"), ("--help",), ("bogus",):
+        main(list(argv))
+    capsys.readouterr()
+    assert built == []
+
+
+def test_reused_parser_leaks_no_state_between_calls(capsys):
+    def family(*argv):
+        return json.loads(run(capsys, "scan", *argv, "--format", "json")[1])["metadata"]["family"]
+
+    assert family("--exhaustive", "3..4", "--labeled") == "exhaustive-labeled"
+    assert family("--exhaustive", "3..4") == "exhaustive-classes"
+    assert json.loads(run(capsys, "dim", "--gen", "path:6", "--format", "json")[1])["dim"] == 1
+    assert run(capsys, "dim", "--gen", "path:6") == (0, "dim = 1\nwitness = [0]\n")

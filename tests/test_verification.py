@@ -124,9 +124,12 @@ def test_dedup_classes_match_certificate_dedup_of_labeled_stream():
 
 
 def test_dedup_class_counts():
-    expected = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240}
+    # Connected unicyclic graphs on n unlabeled vertices, OEIS A001429.
+    expected = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806, 12: 5026}
     for n, count in expected.items():
         assert sum(1 for _ in gen_exhaustive_unicyclic(n, dedup=True)) == count
+    with pytest.raises(UdimError, match=r"n <= 10, or 3 <= n <= 12 with one graph per class"):
+        list(gen_exhaustive_unicyclic(13, dedup=True))
 
 
 # -- tree generation ---------------------------------------------------------------
