@@ -17,8 +17,6 @@ from .constructions import CONSTRUCTIONS, lift_tree_partition
 from .errors import UdimError
 from .graphs import (
     Graph,
-    UnicyclicGraph,
-    all_pairs_distances,
     is_tree,
     parse_edge_list,
     to_edge_list,
@@ -209,9 +207,8 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     cap = getattr(args, f"{args.command}_cap")
     g, _ = _load_graph(args)
     check_cap(g.n, cap, solver)
-    dm = all_pairs_distances(g)
-    value, witness = solve(dm, cap)
-    if not check(dm, witness).resolving:
+    value, witness = solve(g.distances, cap)
+    if not check(g.distances, witness).resolving:
         raise UdimError("internal error: solver witness failed re-verification")
     if args.format == "json":
         _print_json({args.command: value, "witness": shown(witness)})
@@ -228,9 +225,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         # minimum-leaf spanning tree.
         check_cap(u.graph.n, args.pd_cap, "partition-dimension")
         _, tree = epsilon(u)
-        _, witness = partition_dimension_exact(
-            all_pairs_distances(tree.graph), cap=args.pd_cap
-        )
+        _, witness = partition_dimension_exact(tree.graph.distances, cap=args.pd_cap)
         cert = lift_tree_partition(u, witness, tree)
     else:
         cert = next(build for name, build, _ in CONSTRUCTIONS if name == args.name)(u)
@@ -252,9 +247,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     g, _ = _load_graph(args)
-    dm = all_pairs_distances(g)
     partition = _parse_partition_file(args.partition, g.n)
-    witness = check_resolving_partition(dm, partition)
+    witness = check_resolving_partition(g.distances, partition)
     if args.format == "json":
         _print_json(
             {
@@ -287,14 +281,16 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         raise UdimError("--jobs must be positive")
     if args.random is not None and args.random < 0:
         raise UdimError("--random must be non-negative")
-    graphs: list[UnicyclicGraph] = []
-    ids: list[str] = []
     if args.exhaustive:
         lo, hi = _parse_range(args.exhaustive)
-        for n in range(lo, hi + 1):
-            for i, u in enumerate(gen_exhaustive_unicyclic(n, dedup=not args.labeled)):
-                graphs.append(u)
-                ids.append(f"n{n}#{i}")
+        # Every size is checked here, before the first pd solve.
+        families = [
+            (n, gen_exhaustive_unicyclic(n, dedup=not args.labeled))
+            for n in range(lo, hi + 1)
+        ]
+        instances = (
+            (f"n{n}#{i}", u) for n, family in families for i, u in enumerate(family)
+        )
         metadata = {
             "family": "exhaustive-labeled" if args.labeled else "exhaustive-classes",
             "range": f"{lo}..{hi}",
@@ -302,9 +298,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     elif args.random is not None:
         if args.n is None:
             raise UdimError("--random needs --n")
-        for i in range(args.random):
-            graphs.append(gen_random_unicyclic(args.n, seed=args.seed + i))
-            ids.append(f"n{args.n}/seed{args.seed + i}")
+        instances = (
+            (f"n{args.n}/seed{seed}", gen_random_unicyclic(args.n, seed=seed))
+            for seed in range(args.seed, args.seed + args.random)
+        )
         metadata = {
             "family": "random",
             "prng": RANDOM_SCHEME,
@@ -314,9 +311,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         }
     else:
         raise UdimError("scan needs --exhaustive A..B or --random N --n K")
-    result = conjecture_scan(
-        graphs, ids=ids, pd_cap=args.pd_cap, jobs=args.jobs, metadata=metadata
-    )
+    result = conjecture_scan(instances, pd_cap=args.pd_cap, jobs=args.jobs, metadata=metadata)
     if args.format == "json":
         _print_json(result.to_json())
     else:
@@ -392,10 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = command("scan", _cmd_scan, "pd gap scan over spanning trees")
-    p.add_argument("--exhaustive", help="range A..B of vertex counts")
+    family = p.add_mutually_exclusive_group()
+    family.add_argument("--exhaustive", help="range A..B of vertex counts")
+    family.add_argument("--random", type=int, help="number of random instances")
     p.add_argument("--labeled", action="store_true",
                    help="scan every labeled graph instead of one per class")
-    p.add_argument("--random", type=int, help="number of random instances")
     p.add_argument("--n", type=int, help="vertex count for random instances")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)

@@ -11,12 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .graphs import (
-    DistanceMatrix,
-    SpanningTree,
-    UnicyclicGraph,
-    all_pairs_distances,
-)
+from .graphs import DistanceMatrix, SpanningTree, UnicyclicGraph
 from .invariants import (
     kappa_tau,
     pendant_vertices,
@@ -122,7 +117,7 @@ def pendant_resolving_set(u: UnicyclicGraph) -> CertifiedConstruction:
             dropped.add(mine[-1])
     chosen = frozenset(pendants - dropped)
     bound = len(pendants) - rho(g)
-    return _certify_set("pendant-set", all_pairs_distances(g), chosen, bound)
+    return _certify_set("pendant-set", g.distances, chosen, bound)
 
 
 def cycle_partition(u: UnicyclicGraph) -> CertifiedConstruction:
@@ -140,7 +135,7 @@ def cycle_partition(u: UnicyclicGraph) -> CertifiedConstruction:
         set(cyc[1 : n // 2 + 1]),
         set(cyc[n // 2 + 1 :]),
     ]
-    return _certify_partition("cycle-partition", all_pairs_distances(u.graph), parts, 3)
+    return _certify_partition("cycle-partition", u.graph.distances, parts, 3)
 
 
 def _branch_sets(g, cycle: tuple[int, ...]) -> dict[int, set[int]]:
@@ -202,9 +197,7 @@ def unit_terminal_partition(u: UnicyclicGraph) -> CertifiedConstruction:
         b1 = w[0] | w[1]
         b2 = w[k // 2] | w[k // 2 + 1]
         parts = [b1, b2, set(range(g.n)) - b1 - b2]
-    return _certify_partition(
-        "unit-terminal", all_pairs_distances(g), parts, 3
-    )
+    return _certify_partition("unit-terminal", g.distances, parts, 3)
 
 
 def kappa_tau_partition(u: UnicyclicGraph) -> CertifiedConstruction:
@@ -223,7 +216,7 @@ def kappa_tau_partition(u: UnicyclicGraph) -> CertifiedConstruction:
             "graph has no exterior major vertex of terminal degree greater than one"
         )
     kappa, tau = kappa_tau(g)
-    dm = all_pairs_distances(g)
+    dm = g.distances
     s_l = profiles[0].major
     near = min(u.cycle, key=lambda c: (dm[c][s_l], c))
     v = min(c for c in g.adjacency[near] if c in set(u.cycle))
@@ -275,7 +268,7 @@ def xi_theta_partition(u: UnicyclicGraph) -> CertifiedConstruction:
         assigned |= s
     rest = set(range(g.n)) - assigned
     parts = [rest, *firsts, *pooled]
-    return _certify_partition("xi-theta", all_pairs_distances(g), parts, xi + theta)
+    return _certify_partition("xi-theta", g.distances, parts, xi + theta)
 
 
 def lift_tree_partition(
@@ -295,7 +288,7 @@ def lift_tree_partition(
         raise PreconditionError(
             f"deleted edge {tree.deleted_edge} is not a cycle edge"
         )
-    tree_check = check_resolving_partition(all_pairs_distances(tree.graph), pi_t)
+    tree_check = check_resolving_partition(tree.graph.distances, pi_t)
     if not tree_check.resolving:
         raise PreconditionError(
             f"partition does not resolve the spanning tree; twins {tree_check.twins}"
@@ -310,9 +303,7 @@ def lift_tree_partition(
     parts = [set(p) - anchor_set for p in pi_t.parts]
     parts = [p for p in parts if p]
     parts.extend({c} for c in anchors)
-    return _certify_partition(
-        "lift", all_pairs_distances(u.graph), parts, pi_t.t + 3
-    )
+    return _certify_partition("lift", u.graph.distances, parts, pi_t.t + 3)
 
 
 # The bound-chain certificates, in report order: the ``construct`` name, the

@@ -1,14 +1,16 @@
 """Immutable graph core: parsing, distances, cycle extraction, spanning trees.
 
 Vertices are dense 0-based integers so that distance matrices can be plain
-index-addressed tuples.  All types are frozen; every operation is a pure
-function of its inputs and safe to share across workers.
+index-addressed tuples.  All types are frozen and safe to share across
+workers.  A graph computes its distance matrix, and a unicyclic graph its
+spanning trees, once, on first use, and keeps them for its lifetime.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -47,6 +49,11 @@ class Graph:
             for v in self.adjacency[u]:
                 if u < v:
                     yield (u, v)
+
+    @cached_property
+    def distances(self) -> DistanceMatrix:
+        """The all-pairs distance matrix, built on first use and kept."""
+        return all_pairs_distances(self)
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -190,6 +197,11 @@ class UnicyclicGraph:
 
     def is_cycle_graph(self) -> bool:
         return self.graph.n == len(self.cycle)
+
+    @cached_property
+    def spanning_trees(self) -> tuple[SpanningTree, ...]:
+        """The k spanning trees, built on first use and kept."""
+        return spanning_trees(self)
 
 
 def validate_unicyclic(g: Graph) -> UnicyclicGraph:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotATreeError
-from .graphs import Graph, SpanningTree, UnicyclicGraph, is_tree, spanning_trees
+from .graphs import Graph, SpanningTree, UnicyclicGraph, is_tree
 
 
 @dataclass(frozen=True)
@@ -166,14 +166,10 @@ def epsilon(u: UnicyclicGraph) -> tuple[int, SpanningTree]:
     Ties are broken by the lexicographically smallest deleted edge so that
     downstream constructions are reproducible.
     """
-    best: tuple[int, tuple[int, int], SpanningTree] | None = None
-    for tree in spanning_trees(u):
-        leaves = len(pendant_vertices(tree.graph))
-        key = (leaves, tree.deleted_edge)
-        if best is None or key < (best[0], best[1]):
-            best = (leaves, tree.deleted_edge, tree)
-    assert best is not None
-    return (best[0], best[2])
+    leaves, _, tree = min(
+        (len(pendant_vertices(t.graph)), t.deleted_edge, t) for t in u.spanning_trees
+    )
+    return (leaves, tree)
 
 
 def graph_invariants(g: Graph, unicyclic: UnicyclicGraph | None = None) -> GraphInvariants:

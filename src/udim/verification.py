@@ -8,11 +8,12 @@ satisfaction against the exact solvers when the instance is within caps.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations, permutations, repeat
+from functools import lru_cache, partial
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
 from .constructions import CONSTRUCTIONS, CertifiedConstruction
@@ -20,10 +21,8 @@ from .errors import PreconditionError, SolverCapError, UdimError
 from .graphs import (
     Graph,
     UnicyclicGraph,
-    all_pairs_distances,
     graph_from_edges,
     is_tree,
-    spanning_trees,
     validate_unicyclic,
 )
 from .invariants import (
@@ -168,16 +167,18 @@ def gen_exhaustive_unicyclic(n: int, dedup: bool = False) -> Iterator[UnicyclicG
     With ``dedup=True`` only one representative per isomorphism class is
     produced, generated directly from canonical cycle decorations instead of
     filtering the labeled stream (identical coverage of every per-graph
-    claim, massively fewer instances).
+    claim, massively fewer instances).  The range of n is checked at the
+    call, before the first graph is generated.
     """
     if not 3 <= n <= (12 if dedup else 10):
         raise UdimError(
             "exhaustive generation supports 3 <= n <= 10, "
             "or 3 <= n <= 12 with one graph per class"
         )
-    if dedup:
-        yield from _unicyclic_classes(n)
-        return
+    return _unicyclic_classes(n) if dedup else _labeled_unicyclic(n)
+
+
+def _labeled_unicyclic(n: int) -> Iterator[UnicyclicGraph]:
     for k in range(3, n + 1):
         for subset in combinations(range(n), k):
             for arrangement in _cycle_arrangements(subset):
@@ -463,16 +464,15 @@ def _bound_records(
 def _exact(g: Graph, dim_cap: int, pd_cap: int) -> tuple:
     """(dim, dim witness, pd, pd witness); a value above its cap is None.  The
     distance matrix is built only if n is within one of the caps."""
-    dm = all_pairs_distances(g) if g.n <= max(dim_cap, pd_cap) else None
-    dim = metric_dimension_exact(dm, cap=dim_cap) if g.n <= dim_cap else (None, None)
-    pd = partition_dimension_exact(dm, cap=pd_cap) if g.n <= pd_cap else (None, None)
+    dim = metric_dimension_exact(g.distances, cap=dim_cap) if g.n <= dim_cap else (None, None)
+    pd = partition_dimension_exact(g.distances, cap=pd_cap) if g.n <= pd_cap else (None, None)
     return (*dim, *pd)
 
 
 def _tree_dim(g: Graph, dim_cap: int) -> int:
     """Exact dim of a tree when within cap, else the leaf/exterior formula."""
     if g.n <= dim_cap:
-        return metric_dimension_exact(all_pairs_distances(g), cap=dim_cap)[0]
+        return metric_dimension_exact(g.distances, cap=dim_cap)[0]
     ex = exterior_major_count(g)
     return 1 if ex == 0 else len(pendant_vertices(g)) - ex
 
@@ -498,7 +498,7 @@ def bounds_report(
 
     dim_detail: dict[str, int] = {}
     leaf_detail: dict[str, int] = {}
-    for tree in spanning_trees(u):
+    for tree in u.spanning_trees:
         tg = tree.graph
         label = f"{tree.deleted_edge[0]}-{tree.deleted_edge[1]}"
         dim_detail[label] = _tree_dim(tg, dim_cap)
@@ -671,17 +671,16 @@ class ScanResult:
         }
 
 
-def _scan_one(instance_id: str, u: UnicyclicGraph, pd_cap: int) -> ScanRecord:
+def _scan_one(instance: tuple[str, UnicyclicGraph], pd_cap: int) -> ScanRecord:
+    instance_id, u = instance
     try:
         check_cap(u.graph.n, pd_cap, "partition-dimension")
     except SolverCapError as exc:
         raise SolverCapError(f"instance {instance_id}: {exc}") from None
-    pd_g, _ = partition_dimension_exact(all_pairs_distances(u.graph), cap=pd_cap)
+    pd_g, _ = partition_dimension_exact(u.graph.distances, cap=pd_cap)
     entries = []
-    for tree in spanning_trees(u):
-        pd_t, witness = partition_dimension_exact(
-            all_pairs_distances(tree.graph), cap=pd_cap
-        )
+    for tree in u.spanning_trees:
+        pd_t, witness = partition_dimension_exact(tree.graph.distances, cap=pd_cap)
         entries.append(
             TreeScanEntry(deleted_edge=tree.deleted_edge, pd=pd_t, witness=witness)
         )
@@ -696,31 +695,26 @@ def _scan_one(instance_id: str, u: UnicyclicGraph, pd_cap: int) -> ScanRecord:
 
 
 def conjecture_scan(
-    graphs: Iterable[UnicyclicGraph],
-    ids: Iterable[str] | None = None,
+    instances: Iterable[tuple[str, UnicyclicGraph]],
     pd_cap: int = DEFAULT_PD_CAP,
     jobs: int = 1,
     metadata: dict | None = None,
 ) -> ScanResult:
     """Compute pd(G) and pd(T) for every spanning tree T of every instance.
 
-    Deterministic for a fixed instance stream; violation lists are ordered by
-    instance position.  ``jobs`` > 1 fans instances out to worker processes
-    and merges results in submission order.
+    ``instances`` yields (id, graph) pairs; the scan reads it once and holds
+    no graph past its record.  Deterministic for a fixed instance stream;
+    violation lists are ordered by instance position.  ``jobs`` > 1 fans
+    instances out to worker processes, at most one per CPU, and merges
+    results in submission order.
     """
-    graph_list = list(graphs)
-    if ids is None:
-        id_list = [f"instance:{i}" for i in range(len(graph_list))]
-    else:
-        id_list = list(ids)
-        if len(id_list) != len(graph_list):
-            raise UdimError("ids and graphs must have the same length")
-    caps = repeat(pd_cap, len(graph_list))
-    if jobs > 1 and len(graph_list) > 1:
+    scan = partial(_scan_one, pd_cap=pd_cap)
+    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_scan_one, id_list, graph_list, caps, chunksize=8))
+            records = list(pool.map(scan, instances, chunksize=8))
     else:
-        records = list(map(_scan_one, id_list, graph_list, caps))
+        records = list(map(scan, instances))
 
     histogram: dict[int, int] = {}
     conjecture = []

@@ -80,7 +80,7 @@ def family9_reports():
 
 @lru_cache(maxsize=None)
 def family9_scan():
-    return conjecture_scan([u for _, u in family9()], ids=[i for i, _ in family9()])
+    return conjecture_scan(family9())
 
 
 @lru_cache(maxsize=None)

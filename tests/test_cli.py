@@ -103,24 +103,27 @@ def test_pd_on_a_long_path_with_a_raised_cap(capsys):
 def test_no_distance_matrix_for_the_solvers_above_both_caps(monkeypatch, capsys):
     # Above both caps the solvers' callers answer from the caps alone: a cap
     # error, or the tree-dim formula, without an all-pairs distance matrix.
+    # The one matrix left belongs to the cycle certificate, which analyze
+    # checks whatever the caps.
+    build = udim.graphs.all_pairs_distances
     sizes = []
 
     def recording(g):
         sizes.append(g.n)
-        return udim.graphs.all_pairs_distances(g)
+        return build(g)
 
-    monkeypatch.setattr(udim.cli, "all_pairs_distances", recording)
-    monkeypatch.setattr(udim.verification, "all_pairs_distances", recording)
-    for argv, cap in [
-        (("dim", "--gen", "cycle:40"), "metric-dimension cap 16"),
-        (("pd", "--gen", "cycle:40"), "partition-dimension cap 12"),
-        (("construct", "lift", "--gen", "cycle:40"), "partition-dimension cap 12"),
-        (("analyze", "--gen", "cycle:40"), None),
-        (("analyze", "--gen", "path:40"), None),
+    monkeypatch.setattr(udim.graphs, "all_pairs_distances", recording)
+    for argv, cap, matrices in [
+        (("dim", "--gen", "cycle:40"), "metric-dimension cap 16", []),
+        (("pd", "--gen", "cycle:40"), "partition-dimension cap 12", []),
+        (("construct", "lift", "--gen", "cycle:40"), "partition-dimension cap 12", []),
+        (("analyze", "--gen", "cycle:40"), None, [40]),
+        (("analyze", "--gen", "path:40"), None, []),
     ]:
+        sizes.clear()
         assert main(list(argv)) == (1 if cap else 0)
         assert capsys.readouterr().err == (f"error: n=40 exceeds the {cap}\n" if cap else "")
-    assert sizes == []
+        assert sizes == matrices, argv
 
 
 def test_construct_kappa_tau(capsys):
@@ -212,6 +215,31 @@ def test_scan_needs_a_family(capsys):
     assert run(capsys, "scan")[0] == 1
     assert run(capsys, "scan", "--random", "5")[0] == 1
     assert run(capsys, "scan", "--exhaustive", "bogus")[0] == 1
+
+
+def test_scan_families_are_exclusive(capsys):
+    assert main(["scan", "--exhaustive", "3..4", "--random", "5", "--n", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --random: not allowed with argument --exhaustive" in captured.err
+    assert main(["scan"]) == 1
+    assert capsys.readouterr().err == (
+        "error: scan needs --exhaustive A..B or --random N --n K\n"
+    )
+
+
+def test_scan_range_is_checked_before_any_pd_solve(monkeypatch, capsys):
+    def solve(*args, **kwargs):
+        raise AssertionError("the pd solver ran before the range was checked")
+
+    monkeypatch.setattr(udim.verification, "partition_dimension_exact", solve)
+    assert main(["scan", "--exhaustive", "3..13"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: exhaustive generation supports 3 <= n <= 10, "
+        "or 3 <= n <= 12 with one graph per class\n"
+    )
 
 
 def test_scan_rejects_a_negative_random_count(capsys):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 from itertools import combinations
 
 import pytest
@@ -104,10 +106,13 @@ def test_exhaustive_stream_has_no_duplicates():
 
 
 def test_exhaustive_range_check():
+    # The range is checked at the call, not when the first graph is drawn.
     with pytest.raises(UdimError):
-        list(gen_exhaustive_unicyclic(2))
+        gen_exhaustive_unicyclic(2)
     with pytest.raises(UdimError):
-        list(gen_exhaustive_unicyclic(11))
+        gen_exhaustive_unicyclic(11)
+    with pytest.raises(UdimError):
+        gen_exhaustive_unicyclic(13, dedup=True)
 
 
 def _distance_certificate(u: udim.UnicyclicGraph) -> tuple:
@@ -265,6 +270,28 @@ def test_report_without_constructions():
     assert all(cert.verified for cert in rep.certificates.values())
 
 
+def test_report_builds_each_distance_matrix_and_the_spanning_trees_once(monkeypatch):
+    counts = {"all_pairs_distances": [], "spanning_trees": 0}
+    build, trees = udim.graphs.all_pairs_distances, udim.graphs.spanning_trees
+
+    def distances(g):
+        counts["all_pairs_distances"].append(g)
+        return build(g)
+
+    def spanning(u):
+        counts["spanning_trees"] += 1
+        return trees(u)
+
+    monkeypatch.setattr(udim.graphs, "all_pairs_distances", distances)
+    monkeypatch.setattr(udim.graphs, "spanning_trees", spanning)
+    u = gen_c4k(3)  # n = 7, within both caps
+    bounds_report(u)
+    assert counts["spanning_trees"] == 1
+    built = counts["all_pairs_distances"]
+    assert len(built) == 1 + u.k
+    assert set(map(id, built)) == {id(u.graph)} | {id(t.graph) for t in u.spanning_trees}
+
+
 def test_tree_report_on_path():
     rep = tree_report(gen_path(6), instance_id="path:6")
     assert rep.exact_dim == 1 and rep.exact_pd == 2
@@ -299,8 +326,7 @@ def test_tree_report_on_single_vertex():
 
 
 def test_scan_on_cycles():
-    graphs = [gen_cycle(n) for n in range(3, 10)]
-    result = conjecture_scan(graphs, ids=[f"cycle:{n}" for n in range(3, 10)])
+    result = conjecture_scan((f"cycle:{n}", gen_cycle(n)) for n in range(3, 10))
     assert result.count == 7
     assert all(rec.pd == 3 for rec in result.records)
     assert all(entry.pd == 2 for rec in result.records for entry in rec.trees)
@@ -311,20 +337,61 @@ def test_scan_on_cycles():
 
 
 def test_scan_is_deterministic_and_parallel_safe():
-    graphs = [gen_random_unicyclic(8, seed=s) for s in range(6)]
-    a = conjecture_scan(graphs)
-    b = conjecture_scan(graphs)
-    c = conjecture_scan(graphs, jobs=2)
+    instances = [(f"instance:{s}", gen_random_unicyclic(8, seed=s)) for s in range(6)]
+    a = conjecture_scan(instances)
+    b = conjecture_scan(instances)
+    c = conjecture_scan(instances, jobs=2)
     assert json.dumps(a.to_json()) == json.dumps(b.to_json()) == json.dumps(c.to_json())
 
 
 def test_scan_cap_exceeded_names_the_instance():
-    graphs = [gen_cycle(4), gen_random_unicyclic(9, seed=0)]
+    instances = [("instance:0", gen_cycle(4)), ("instance:1", gen_random_unicyclic(9, seed=0))]
     with pytest.raises(SolverCapError, match="instance:1"):
-        conjecture_scan(graphs, pd_cap=8)
+        conjecture_scan(instances, pd_cap=8)
+
+
+def test_scan_keeps_no_graph_of_the_stream():
+    alive = []
+
+    def instances():
+        for s in range(4):
+            u = gen_random_unicyclic(7, seed=s)
+            alive.append(weakref.ref(u))
+            yield (f"n7/seed{s}", u)
+
+    result = conjecture_scan(instances())
+    gc.collect()
+    assert result.count == len(alive) == 4
+    assert [ref() for ref in alive] == [None] * 4
+
+
+@pytest.mark.parametrize("cpus, workers", [(2, [2]), (1, []), (None, [])])
+def test_scan_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, workers):
+    started = []
+
+    class InlinePool:
+        """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(udim.verification, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(udim.verification.os, "cpu_count", lambda: cpus)
+    result = conjecture_scan([("c4", gen_cycle(4)), ("c5", gen_cycle(5))], jobs=100_000)
+    assert started == workers
+    assert [rec.instance for rec in result.records] == ["c4", "c5"]
 
 
 def test_scan_tree_entries_follow_cycle_edge_order():
     u = gen_c4k(2)
-    result = conjecture_scan([u])
+    result = conjecture_scan([("instance:0", u)])
     assert [e.deleted_edge for e in result.records[0].trees] == list(u.cycle_edges())
