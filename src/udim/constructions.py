@@ -17,7 +17,6 @@ from .invariants import (
     pendant_vertices,
     rho,
     support_leaf_groups,
-    terminal_profiles,
     xi_theta,
     epsilon,
 )
@@ -144,7 +143,7 @@ def _branch_sets(g, cycle: tuple[int, ...]) -> dict[int, set[int]]:
     Only valid when every exterior major vertex lies on the cycle with degree
     three and terminal degree one; raises PreconditionError otherwise.
     """
-    profiles = terminal_profiles(g)
+    profiles = g.terminal_profiles
     if not any(p.terminal_degree >= 1 for p in profiles):
         raise PreconditionError("graph has no exterior major vertex")
     sets = {c: {c} for c in cycle}
@@ -210,7 +209,7 @@ def kappa_tau_partition(u: UnicyclicGraph) -> CertifiedConstruction:
     and the remainder.
     """
     g = u.graph
-    profiles = [p for p in terminal_profiles(g) if p.terminal_degree >= 2]
+    profiles = [p for p in g.terminal_profiles if p.terminal_degree >= 2]
     if not profiles:
         raise PreconditionError(
             "graph has no exterior major vertex of terminal degree greater than one"

@@ -2,8 +2,9 @@
 
 Vertices are dense 0-based integers so that distance matrices can be plain
 index-addressed tuples.  All types are frozen and safe to share across
-workers.  A graph computes its distance matrix, and a unicyclic graph its
-spanning trees, once, on first use, and keeps them for its lifetime.
+workers.  A graph computes its distance matrix and terminal profiles, and a
+unicyclic graph its spanning trees, once, on first use, and keeps them for
+its lifetime.
 """
 
 from __future__ import annotations
@@ -11,13 +12,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (
     DisconnectedGraphError,
     GraphFormatError,
     NotUnicyclicError,
 )
+
+if TYPE_CHECKING:
+    from .invariants import TerminalProfile
 
 DistanceMatrix = tuple[tuple[int, ...], ...]
 
@@ -54,6 +58,13 @@ class Graph:
     def distances(self) -> DistanceMatrix:
         """The all-pairs distance matrix, built on first use and kept."""
         return all_pairs_distances(self)
+
+    @cached_property
+    def terminal_profiles(self) -> tuple[TerminalProfile, ...]:
+        """invariants.terminal_profiles of this graph, built on first use and kept."""
+        from . import invariants
+
+        return invariants.terminal_profiles(self)
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

@@ -115,7 +115,7 @@ def terminal_profiles(g: Graph) -> tuple[TerminalProfile, ...]:
 
 def exterior_major_count(g: Graph) -> int:
     """Number of major vertices with at least one terminal."""
-    return sum(1 for p in terminal_profiles(g) if p.terminal_degree >= 1)
+    return sum(1 for p in g.terminal_profiles if p.terminal_degree >= 1)
 
 
 def rho(g: Graph) -> int:
@@ -133,7 +133,7 @@ def kappa_tau(g: Graph) -> tuple[int, int]:
 
     tau is 0 when no such vertex exists.
     """
-    degrees = [p.terminal_degree for p in terminal_profiles(g) if p.terminal_degree >= 2]
+    degrees = [p.terminal_degree for p in g.terminal_profiles if p.terminal_degree >= 2]
     if not degrees:
         return (0, 0)
     return (len(degrees), max(degrees))

@@ -6,7 +6,11 @@ solvers decide one rule, stated once in ``_ties``: landmarks or parts resolve
 the graph iff no vertex pair u < v is tied on every coordinate of r(.).  They
 try landmark subsets, or partitions as restricted-growth strings (the rule is
 invariant under reordering blocks), in lexicographic order, and the first
-resolving one is the witness.
+resolving one is the witness.  The pd search never builds a partition that
+puts two distance twins (a pair only its own two vertices separate) in one
+part: such a pair is tied on every part.  This is a distance identity, not
+one of the bounds the verification suite checks, so pruning with it keeps
+those checks independent of the solver.
 """
 
 from __future__ import annotations
@@ -212,17 +216,20 @@ def metric_dimension_exact(
 # -- exact partition dimension -------------------------------------------------
 
 
-def _pd_lower_bound(dist: np.ndarray) -> int:
-    """Sound lower bound on pd: no part may hold two distance twins, a pair
-    that only its own two vertices separate, so the largest twin class (an
-    open or a closed neighbourhood class) forces that many parts."""
+def _pd_lower_bound(dist: np.ndarray) -> tuple[int, list[tuple[int, int]]]:
+    """Sound lower bound on pd, with the distance twins (u, v), u < v, that
+    it rests on.  Twins are pairs that only their own two vertices separate
+    (open or closed neighbourhood twins); no part may hold two of them, so
+    the largest twin class forces that many parts."""
     separated = 0
     for ties in _landmark_ties(dist):
         separated = separated + (~ties).sum(axis=0)
         if separated.min() > 2:
-            return 2
-    partners = np.bincount(np.concatenate(_pairs(len(dist)))[np.tile(separated == 2, 2)])
-    return max(2, 1 + int(partners.max()))
+            return 2, []
+    us, vs = _pairs(len(dist))
+    twin = separated == 2
+    partners = np.bincount(np.concatenate([us[twin], vs[twin]]))
+    return max(2, 1 + int(partners.max())), list(zip(us[twin].tolist(), vs[twin].tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -249,17 +256,24 @@ def _completions(s: int, mx: int, t: int) -> np.ndarray:
     return arr
 
 
-def _rgs_blocks(n: int, t: int) -> Iterator[np.ndarray]:
-    """Every restricted-growth string of length n with exactly t blocks, in
-    lexicographic order, as arrays of at most _row_limit(n) rows.
+def _rgs_blocks(n: int, t: int, twins: Sequence[tuple[int, int]]) -> Iterator[np.ndarray]:
+    """Every restricted-growth string of length n with exactly t blocks that
+    gives no pair (u, v), u < v, of twins one label, in lexicographic order,
+    as arrays of at most _row_limit(n) rows.
 
-    Prefix positions are fixed one at a time until the t**s bound on the
-    tails of the s positions left is within the limit; each prefix with its
-    cached completions is one piece.  Pieces are packed into blocks up to the
-    limit and up to the rows already yielded, so a search that stops early
-    evaluates at most twice the rows it needed plus one piece.
+    Prefix positions are fixed one at a time, skipping the labels an earlier
+    twin partner holds, until the t**s bound on the tails of the s positions
+    left is within the limit; each prefix with its cached completions, less
+    the rows that give twins one label, is one piece.  Pieces are packed into
+    blocks up to the limit and up to the rows already yielded, so a search
+    that stops early evaluates at most twice the rows it needed plus one
+    piece.
     """
     limit = _row_limit(n)
+    earlier: list[list[int]] = [[] for _ in range(n)]
+    for u, v in twins:
+        earlier[v].append(u)
+    tu, tv = np.array(twins, dtype=np.intp).reshape(-1, 2).T
 
     def pieces() -> Iterator[np.ndarray]:
         # Depth-first over prefixes on an explicit stack, children pushed in
@@ -276,12 +290,17 @@ def _rgs_blocks(n: int, t: int) -> Iterator[np.ndarray]:
                 piece = np.empty((tails.shape[0], n), dtype=tails.dtype)
                 piece[:, :fixed] = prefix[:fixed]
                 piece[:, fixed:] = tails
-                yield piece
+                if tu.size:
+                    piece = piece[(piece[:, tu] != piece[:, tv]).all(axis=1)]
+                if piece.shape[0]:
+                    yield piece
                 continue
-            for nxt in reversed(range(min(mx + 1, t - 1) + 1)):
-                new_mx = max(mx, nxt)
-                if t - 1 - new_mx <= s - 1:
-                    stack.append((fixed + 1, new_mx, nxt))
+            # A child must leave its s - 1 positions enough to reach t blocks,
+            # max(mx, nxt) >= t - s, and take no label of an earlier twin.
+            banned = {prefix[u] for u in earlier[fixed]}
+            for nxt in reversed(range(0 if mx >= t - s else t - s, min(mx + 1, t - 1) + 1)):
+                if nxt not in banned:
+                    stack.append((fixed + 1, max(mx, nxt), nxt))
 
     pending: list[np.ndarray] = []
     rows = done = 0
@@ -291,7 +310,8 @@ def _rgs_blocks(n: int, t: int) -> Iterator[np.ndarray]:
             pending, rows, done = [], 0, done + rows
         pending.append(piece)
         rows += piece.shape[0]
-    yield np.concatenate(pending)
+    if pending:
+        yield np.concatenate(pending)
 
 
 def _eval_block(block: np.ndarray, dist: np.ndarray, t: int) -> int:
@@ -312,15 +332,23 @@ def partition_dimension_exact(
 
     For each t the restricted-growth strings with exactly t blocks stream in
     lexicographic order through the pairwise-tie evaluator; the first
-    resolving one is returned, with parts ordered by smallest element.
+    resolving one is returned, with parts ordered by smallest element.  The
+    stream skips every string that gives two distance twins one block: twins
+    u, v have equal distances to every other vertex, so any part holding
+    both is at distance 0 from each and every other part at equal distances,
+    and the string cannot resolve.  Only non-resolving strings are skipped,
+    so the witness is the same as without the skip.  The rule is a property
+    of the distance matrix, not a bound of the paper, so the bound checks
+    stay independent of it.
     """
     n = len(dm)
     check_cap(n, cap, "partition-dimension")
     if n == 1:
         return (1, OrderedPartition(parts=(frozenset({0}),)))
     dist = np.array(dm, dtype=np.int16)
-    for t in range(_pd_lower_bound(dist), n + 1):
-        for block in _rgs_blocks(n, t):
+    bound, twins = _pd_lower_bound(dist)
+    for t in range(bound, n + 1):
+        for block in _rgs_blocks(n, t, twins):
             idx = _eval_block(block, dist, t)
             if idx >= 0:
                 parts = [frozenset(np.flatnonzero(block[idx] == j).tolist()) for j in range(t)]

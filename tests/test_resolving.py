@@ -185,13 +185,19 @@ def _dim_by_direct_enumeration(dm) -> tuple[int, tuple[int, ...]]:
     raise AssertionError
 
 
-def _twin_bound_by_neighbourhoods(dm) -> int:
+def _twin_bound_by_neighbourhoods(dm) -> tuple[int, list[tuple[int, int]]]:
     # Independent oracle: the largest class of equal open or equal closed
-    # neighbourhoods, and at least 2.
+    # neighbourhoods, and at least 2, with the pairs u < v inside those classes.
     n = len(dm)
     open_nb = [frozenset(u for u in range(n) if dm[v][u] == 1) for v in range(n)]
     closed_nb = [nb | {v} for v, nb in enumerate(open_nb)]
-    return max(2, *Counter(open_nb).values(), *Counter(closed_nb).values())
+    bound = max(2, *Counter(open_nb).values(), *Counter(closed_nb).values())
+    pairs = [
+        (u, v)
+        for u, v in combinations(range(n), 2)
+        if open_nb[u] == open_nb[v] or closed_nb[u] == closed_nb[v]
+    ]
+    return bound, pairs
 
 
 def _pd_by_function_enumeration(dm) -> tuple[int, list[list[int]]]:
@@ -350,16 +356,41 @@ def _rgs_by_filtering(n, t):
 def test_rgs_blocks_stream_every_rgs_in_lex_order(n, block_rows, monkeypatch):
     monkeypatch.setattr(resolve, "_BLOCK", block_rows)
     for t in range(1, n + 1):
-        blocks = list(_rgs_blocks(n, t))
+        blocks = list(_rgs_blocks(n, t, ()))
         assert all(len(b) <= block_rows for b in blocks)
         streamed = [tuple(int(x) for x in row) for b in blocks for row in b]
         assert streamed == list(_rgs_by_filtering(n, t))
 
 
+@pytest.mark.parametrize("block_rows", [8, _BLOCK])
+def test_rgs_blocks_skip_every_rgs_that_gives_twins_one_label(
+    block_rows, monkeypatch, unicyclic_classes, tree_classes
+):
+    # The twin sets are those of every tree and unicyclic class; the star
+    # K_{1,n-1} has n - 1 pairwise twins, so its levels t < n - 1 are empty.
+    monkeypatch.setattr(resolve, "_BLOCK", block_rows)
+    for n in range(2, 9):
+        graphs = tree_classes[n] + [u.graph for u in unicyclic_classes.get(n, [])]
+        twin_sets = {
+            tuple(_pd_lower_bound(np.array(all_pairs_distances(g), dtype=np.int16))[1])
+            for g in graphs
+        }
+        for t in range(1, n + 1):
+            every = list(_rgs_by_filtering(n, t))
+            for twins in twin_sets:
+                blocks = list(_rgs_blocks(n, t, twins))
+                assert all(1 <= len(b) <= block_rows for b in blocks)
+                streamed = [tuple(int(x) for x in row) for b in blocks for row in b]
+                assert streamed == [r for r in every if all(r[u] != r[v] for u, v in twins)]
+    star = graph_from_edges(8, [(0, leaf) for leaf in range(1, 8)])
+    bound, twins = _pd_lower_bound(np.array(all_pairs_distances(star), dtype=np.int16))
+    assert bound == 7 and list(_rgs_blocks(8, 6, twins)) == []
+
+
 def test_rgs_blocks_shrink_above_the_default_cap():
     # The evaluator's rows x n x n temporaries stay within those at n = 12.
     for n in (13, 40, 300):
-        for block in islice(_rgs_blocks(n, 2), 50):
+        for block in islice(_rgs_blocks(n, 2, ()), 50):
             assert 1 <= len(block) and len(block) * n * n <= _BLOCK * DEFAULT_PD_CAP**2
 
 

@@ -292,6 +292,21 @@ def test_report_builds_each_distance_matrix_and_the_spanning_trees_once(monkeypa
     assert set(map(id, built)) == {id(u.graph)} | {id(t.graph) for t in u.spanning_trees}
 
 
+def test_report_runs_terminal_profiles_once_per_graph(monkeypatch):
+    profiled = []
+    profiles = udim.invariants.terminal_profiles
+
+    def counted(g):
+        profiled.append(g)
+        return profiles(g)
+
+    monkeypatch.setattr(udim.invariants, "terminal_profiles", counted)
+    u = gen_c4k(3)
+    bounds_report(u)
+    assert len(profiled) == len(set(map(id, profiled)))
+    assert set(map(id, profiled)) == {id(u.graph)} | {id(t.graph) for t in u.spanning_trees}
+
+
 def test_tree_report_on_path():
     rep = tree_report(gen_path(6), instance_id="path:6")
     assert rep.exact_dim == 1 and rep.exact_pd == 2
