@@ -283,18 +283,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         raise UdimError("--random must be non-negative")
     if args.exhaustive:
         lo, hi = _parse_range(args.exhaustive)
-        # Every size is checked here, before the first pd solve.
-        families = [
-            (n, gen_exhaustive_unicyclic(n, dedup=not args.labeled))
-            for n in range(lo, hi + 1)
-        ]
+        # Every size and the pd cap are checked here, before the first pd solve.
+        families = [(n, gen_exhaustive_unicyclic(n, dedup=True)) for n in range(lo, hi + 1)]
+        check_cap(hi, args.pd_cap, "partition-dimension")
         instances = (
             (f"n{n}#{i}", u) for n, family in families for i, u in enumerate(family)
         )
-        metadata = {
-            "family": "exhaustive-labeled" if args.labeled else "exhaustive-classes",
-            "range": f"{lo}..{hi}",
-        }
+        metadata = {"family": "exhaustive-classes", "range": f"{lo}..{hi}"}
     elif args.random is not None:
         if args.n is None:
             raise UdimError("--random needs --n")
@@ -388,10 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("scan", _cmd_scan, "pd gap scan over spanning trees")
     family = p.add_mutually_exclusive_group()
-    family.add_argument("--exhaustive", help="range A..B of vertex counts")
+    family.add_argument("--exhaustive",
+                        help="range A..B of vertex counts, one graph per class")
     family.add_argument("--random", type=int, help="number of random instances")
-    p.add_argument("--labeled", action="store_true",
-                   help="scan every labeled graph instead of one per class")
     p.add_argument("--n", type=int, help="vertex count for random instances")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
@@ -410,7 +404,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         # argparse exits 2 on usage errors; 2 is reserved for bound violations.
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``udim ... | head``): that ends the output.
+        # Point stdout at devnull so the interpreter's final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (UdimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

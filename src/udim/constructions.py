@@ -279,14 +279,11 @@ def lift_tree_partition(
     partition keeps every nonempty part minus D and adds the members of D as
     singletons; its size is at most |pi_t| + 3 (possibly less).  The lifted
     partition is not always resolving: ``verified`` and ``witness`` carry the
-    checker's verdict and, on failure, the first twin pair it found.
+    checker's verdict and, on failure, the first twin pair it found.  ``tree``
+    must equal one of ``u.spanning_trees``.
     """
-    if tree.parent != u:
+    if tree not in u.spanning_trees:
         raise PreconditionError("spanning tree does not belong to this graph")
-    if tree.deleted_edge not in u.cycle_edges():
-        raise PreconditionError(
-            f"deleted edge {tree.deleted_edge} is not a cycle edge"
-        )
     tree_check = check_resolving_partition(tree.graph.distances, pi_t)
     if not tree_check.resolving:
         raise PreconditionError(

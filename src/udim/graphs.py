@@ -258,7 +258,6 @@ class SpanningTree:
 
     graph: Graph
     deleted_edge: tuple[int, int]
-    parent: UnicyclicGraph
 
 
 def spanning_trees(u: UnicyclicGraph) -> tuple[SpanningTree, ...]:
@@ -268,5 +267,5 @@ def spanning_trees(u: UnicyclicGraph) -> tuple[SpanningTree, ...]:
     trees = []
     for removed in u.cycle_edges():
         tree_graph = graph_from_edges(g.n, (e for e in all_edges if e != removed))
-        trees.append(SpanningTree(graph=tree_graph, deleted_edge=removed, parent=u))
+        trees.append(SpanningTree(graph=tree_graph, deleted_edge=removed))
     return tuple(trees)

@@ -42,6 +42,17 @@ class OrderedPartition:
 
     parts: tuple[frozenset[int], ...]
 
+    def __post_init__(self) -> None:
+        if not self.parts or any(not p for p in self.parts):
+            raise InvalidPartitionError("parts must be nonempty")
+        union = frozenset().union(*self.parts)
+        if len(union) != self.n:
+            raise InvalidPartitionError("parts overlap")
+        if union != frozenset(range(self.n)):
+            raise InvalidPartitionError(
+                f"parts must cover exactly the vertex ids 0..{self.n - 1}"
+            )
+
     @property
     def t(self) -> int:
         return len(self.parts)
@@ -55,18 +66,7 @@ class OrderedPartition:
 
     @classmethod
     def from_parts(cls, parts: Iterable[Iterable[int]]) -> "OrderedPartition":
-        frozen = tuple(frozenset(p) for p in parts)
-        if not frozen or any(not p for p in frozen):
-            raise InvalidPartitionError("parts must be nonempty")
-        total = sum(len(p) for p in frozen)
-        union = frozenset().union(*frozen)
-        if len(union) != total:
-            raise InvalidPartitionError("parts overlap")
-        if union != frozenset(range(total)):
-            raise InvalidPartitionError(
-                f"parts must cover exactly the vertex ids 0..{total - 1}"
-            )
-        return cls(parts=frozen)
+        return cls(parts=tuple(frozenset(p) for p in parts))
 
 
 @dataclass(frozen=True)
@@ -78,19 +78,10 @@ class ResolutionWitness:
 
 
 def _check_partition_shape(dm: DistanceMatrix, p: OrderedPartition) -> None:
-    n = len(dm)
-    union: set[int] = set()
-    total = 0
-    for part in p.parts:
-        if not part:
-            raise InvalidPartitionError("parts must be nonempty")
-        union.update(part)
-        total += len(part)
-    if total != len(union):
-        raise InvalidPartitionError("parts overlap")
-    if union != set(range(n)):
+    # The type guarantees a partition of 0..p.n-1; only its size can be wrong.
+    if p.n != len(dm):
         raise InvalidPartitionError(
-            f"partition covers {sorted(union)} but the graph has vertices 0..{n - 1}"
+            f"partition covers 0..{p.n - 1} but the graph has vertices 0..{len(dm) - 1}"
         )
 
 

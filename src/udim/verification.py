@@ -162,19 +162,18 @@ def _forest_attachments(n: int, cycle_vertices: Sequence[int]) -> Iterator[dict[
 
 
 def gen_exhaustive_unicyclic(n: int, dedup: bool = False) -> Iterator[UnicyclicGraph]:
-    """Every labeled unicyclic graph on n vertices exactly once.
+    """Every labeled unicyclic graph on n <= 7 vertices exactly once.
 
     With ``dedup=True`` only one representative per isomorphism class is
-    produced, generated directly from canonical cycle decorations instead of
-    filtering the labeled stream (identical coverage of every per-graph
-    claim, massively fewer instances).  The range of n is checked at the
-    call, before the first graph is generated.
+    produced, for n <= 12, generated directly from canonical cycle
+    decorations.  Every per-graph claim is invariant under isomorphism, so
+    the classes are what the scan covers; the labeled stream serves as the
+    tests' oracle for them.  The range of n is checked at the call, before
+    the first graph is generated.
     """
-    if not 3 <= n <= (12 if dedup else 10):
-        raise UdimError(
-            "exhaustive generation supports 3 <= n <= 10, "
-            "or 3 <= n <= 12 with one graph per class"
-        )
+    top, family = (12, "") if dedup else (7, " labeled")
+    if not 3 <= n <= top:
+        raise UdimError(f"exhaustive{family} generation supports 3 <= n <= {top}")
     return _unicyclic_classes(n) if dedup else _labeled_unicyclic(n)
 
 

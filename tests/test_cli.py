@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -236,10 +240,18 @@ def test_scan_range_is_checked_before_any_pd_solve(monkeypatch, capsys):
     assert main(["scan", "--exhaustive", "3..13"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "error: exhaustive generation supports 3 <= n <= 10, "
-        "or 3 <= n <= 12 with one graph per class\n"
-    )
+    assert captured.err == "error: exhaustive generation supports 3 <= n <= 12\n"
+
+
+def test_scan_pd_cap_is_checked_before_any_pd_solve(monkeypatch, capsys):
+    def solve(*args, **kwargs):
+        raise AssertionError("the pd solver ran before the pd cap was checked")
+
+    monkeypatch.setattr(udim.verification, "partition_dimension_exact", solve)
+    assert main(["scan", "--exhaustive", "3..11", "--pd-cap", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n=11 exceeds the partition-dimension cap 10\n"
 
 
 def test_scan_rejects_a_negative_random_count(capsys):
@@ -250,12 +262,13 @@ def test_scan_rejects_a_negative_random_count(capsys):
     assert run(capsys, "scan", "--random", "0", "--n", "8")[0] == 0
 
 
-def test_scan_labeled_mode(capsys):
-    payload = json.loads(
-        run(capsys, "scan", "--exhaustive", "3..4", "--labeled", "--format", "json")[1]
-    )
-    assert payload["count"] == 16  # 1 labeled triangle + 15 labeled on four vertices
-    assert payload["metadata"]["family"] == "exhaustive-labeled"
+def test_scan_has_no_labeled_mode(capsys):
+    # Every per-graph claim is invariant under isomorphism, so scan covers
+    # one graph per class; --labeled is not an option.
+    assert main(["scan", "--exhaustive", "3..4", "--labeled"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --labeled" in captured.err
 
 
 def test_analyze_disconnected_input(tmp_path, capsys):
@@ -415,7 +428,29 @@ def test_reused_parser_leaks_no_state_between_calls(capsys):
     def family(*argv):
         return json.loads(run(capsys, "scan", *argv, "--format", "json")[1])["metadata"]["family"]
 
-    assert family("--exhaustive", "3..4", "--labeled") == "exhaustive-labeled"
+    assert family("--random", "1", "--n", "5") == "random"
     assert family("--exhaustive", "3..4") == "exhaustive-classes"
     assert json.loads(run(capsys, "dim", "--gen", "path:6", "--format", "json")[1])["dim"] == 1
     assert run(capsys, "dim", "--gen", "path:6") == (0, "dim = 1\nwitness = [0]\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv", [["pd", "--gen", "cycle:7"], ["gen", "--gen", "cycle:20000"]], ids=["pd", "gen"]
+)
+def test_closed_stdout_ends_the_output(argv, unbuffered):
+    # As in `udim pd --gen cycle:7 | head -1` once head has exited: the
+    # reader is gone before the first write, whether stdout is buffered
+    # (the write fails at the final flush) or not (it fails in the command).
+    src = str(Path(udim.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from udim.cli import main_entry; main_entry()", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")

@@ -109,6 +109,9 @@ def test_exhaustive_range_check():
     # The range is checked at the call, not when the first graph is drawn.
     with pytest.raises(UdimError):
         gen_exhaustive_unicyclic(2)
+    gen_exhaustive_unicyclic(7)
+    with pytest.raises(UdimError):
+        gen_exhaustive_unicyclic(8)
     with pytest.raises(UdimError):
         gen_exhaustive_unicyclic(11)
     with pytest.raises(UdimError):
@@ -133,7 +136,7 @@ def test_dedup_class_counts():
     expected = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806, 12: 5026}
     for n, count in expected.items():
         assert sum(1 for _ in gen_exhaustive_unicyclic(n, dedup=True)) == count
-    with pytest.raises(UdimError, match=r"n <= 10, or 3 <= n <= 12 with one graph per class"):
+    with pytest.raises(UdimError, match=r"^exhaustive generation supports 3 <= n <= 12$"):
         list(gen_exhaustive_unicyclic(13, dedup=True))
 
 
@@ -374,10 +377,16 @@ def test_scan_keeps_no_graph_of_the_stream():
             alive.append(weakref.ref(u))
             yield (f"n7/seed{s}", u)
 
-    result = conjecture_scan(instances())
-    gc.collect()
+    # Reference counting alone frees each graph once its record is built:
+    # no graph is part of a reference cycle.
+    gc.disable()
+    try:
+        result = conjecture_scan(instances())
+        freed = [ref() for ref in alive]
+    finally:
+        gc.enable()
     assert result.count == len(alive) == 4
-    assert [ref() for ref in alive] == [None] * 4
+    assert freed == [None] * 4
 
 
 @pytest.mark.parametrize("cpus, workers", [(2, [2]), (1, []), (None, [])])
