@@ -208,19 +208,26 @@ def metric_dimension_exact(
 
 
 def _pd_lower_bound(dist: np.ndarray) -> tuple[int, list[tuple[int, int]]]:
-    """Sound lower bound on pd, with the distance twins (u, v), u < v, that
-    it rests on.  Twins are pairs that only their own two vertices separate
-    (open or closed neighbourhood twins); no part may hold two of them, so
-    the largest twin class forces that many parts."""
-    separated = 0
-    for ties in _landmark_ties(dist):
-        separated = separated + (~ties).sum(axis=0)
-        if separated.min() > 2:
-            return 2, []
-    us, vs = _pairs(len(dist))
-    twin = separated == 2
-    partners = np.bincount(np.concatenate([us[twin], vs[twin]]))
-    return max(2, 1 + int(partners.max())), list(zip(us[twin].tolist(), vs[twin].tolist()))
+    """Sound lower bound on pd, with the distance twins (u, v), u < v, in
+    np.triu_indices order, that it rests on.  Twins are pairs that only their
+    own two vertices separate; in a connected graph these are exactly the
+    pairs with equal open or equal closed neighbourhoods, found here by
+    hashing the rows of the adjacency matrix.  No part may hold two twins,
+    so the largest twin class forces that many parts."""
+    n = len(dist)
+    adjacent = dist == 1
+    # Per neighbourhood kind, each vertex labelled by the first vertex whose
+    # row equals its own.
+    labels = []
+    for nb in (adjacent, adjacent | np.eye(n, dtype=bool)):
+        first: dict[bytes, int] = {}
+        labels.append(np.array([first.setdefault(row.tobytes(), v) for v, row in enumerate(nb)]))
+    largest = max(int(np.bincount(label).max()) for label in labels)
+    if largest == 1:
+        return 2, []
+    us, vs = _pairs(n)
+    twin = (labels[0][us] == labels[0][vs]) | (labels[1][us] == labels[1][vs])
+    return largest, list(zip(us[twin].tolist(), vs[twin].tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -316,10 +323,13 @@ def _eval_block(block: np.ndarray, dist: np.ndarray, t: int) -> int:
 
 
 def partition_dimension_exact(
-    dm: DistanceMatrix, cap: int = DEFAULT_PD_CAP
+    dm: DistanceMatrix, cap: int = DEFAULT_PD_CAP, *, start: int = 1
 ) -> tuple[int, OrderedPartition]:
     """Smallest resolving partition, enumerating block counts ascending from
-    the twin-class lower bound (fewer blocks cannot resolve).
+    the twin-class lower bound (fewer blocks cannot resolve), or from
+    ``start`` if that is higher.  A caller passes ``start`` only when it has
+    already proven that fewer blocks cannot resolve, for example pd of an
+    isomorphic graph: pd is an isomorphism invariant.
 
     For each t the restricted-growth strings with exactly t blocks stream in
     lexicographic order through the pairwise-tie evaluator; the first
@@ -338,7 +348,7 @@ def partition_dimension_exact(
         return (1, OrderedPartition(parts=(frozenset({0}),)))
     dist = np.array(dm, dtype=np.int16)
     bound, twins = _pd_lower_bound(dist)
-    for t in range(bound, n + 1):
+    for t in range(max(bound, start), n + 1):
         for block in _rgs_blocks(n, t, twins):
             idx = _eval_block(block, dist, t)
             if idx >= 0:

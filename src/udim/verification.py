@@ -281,8 +281,12 @@ def _rooted_code(g: Graph, root: int, banned: int = -1) -> Code:
 
 
 def _free_code(g: Graph) -> Code:
-    """The smallest rooted code over all roots: equal iff the trees are isomorphic."""
-    return min(_rooted_code(g, root) for root in range(g.n))
+    """The smaller rooted code at the tree's one or two centres (the vertices
+    of least eccentricity, which every isomorphism maps onto each other):
+    equal iff the trees are isomorphic."""
+    ecc = [max(row) for row in g.distances]
+    radius = min(ecc)
+    return min(_rooted_code(g, c) for c in range(g.n) if ecc[c] == radius)
 
 
 def gen_exhaustive_trees(n: int) -> Iterator[Graph]:
@@ -670,7 +674,13 @@ class ScanResult:
         }
 
 
-def _scan_one(instance: tuple[str, UnicyclicGraph], pd_cap: int) -> ScanRecord:
+def _scan_one(
+    instance: tuple[str, UnicyclicGraph], pd_cap: int, tree_pd: dict[Code, int]
+) -> ScanRecord:
+    """One instance's record.  ``tree_pd`` maps the free code of every tree
+    class solved so far to its pd: pd is an isomorphism invariant, so a tree
+    of a known class searches only its own witness level, in its own
+    labelling, and finds the same first witness as a search from scratch."""
     instance_id, u = instance
     try:
         check_cap(u.graph.n, pd_cap, "partition-dimension")
@@ -679,7 +689,11 @@ def _scan_one(instance: tuple[str, UnicyclicGraph], pd_cap: int) -> ScanRecord:
     pd_g, _ = partition_dimension_exact(u.graph.distances, cap=pd_cap)
     entries = []
     for tree in u.spanning_trees:
-        pd_t, witness = partition_dimension_exact(tree.graph.distances, cap=pd_cap)
+        code = _free_code(tree.graph)
+        pd_t, witness = partition_dimension_exact(
+            tree.graph.distances, cap=pd_cap, start=tree_pd.get(code, 1)
+        )
+        tree_pd[code] = pd_t
         entries.append(
             TreeScanEntry(deleted_edge=tree.deleted_edge, pd=pd_t, witness=witness)
         )
@@ -693,6 +707,20 @@ def _scan_one(instance: tuple[str, UnicyclicGraph], pd_cap: int) -> ScanRecord:
     )
 
 
+# The tree-class pds of the one scan a pool worker serves; the pool's
+# initializer gives each worker an empty one, and it ends with the worker.
+_worker_tree_pd: dict[Code, int] | None = None
+
+
+def _start_worker() -> None:
+    global _worker_tree_pd
+    _worker_tree_pd = {}
+
+
+def _scan_in_worker(instance: tuple[str, UnicyclicGraph], pd_cap: int) -> ScanRecord:
+    return _scan_one(instance, pd_cap, _worker_tree_pd)
+
+
 def conjecture_scan(
     instances: Iterable[tuple[str, UnicyclicGraph]],
     pd_cap: int = DEFAULT_PD_CAP,
@@ -704,16 +732,19 @@ def conjecture_scan(
     ``instances`` yields (id, graph) pairs; the scan reads it once and holds
     no graph past its record.  Deterministic for a fixed instance stream;
     violation lists are ordered by instance position.  ``jobs`` > 1 fans
-    instances out to worker processes, at most one per CPU, and merges
-    results in submission order.
+    instances out to worker processes, at most one per usable CPU, and
+    merges results in submission order.  The scan, and each worker, keeps
+    the pd of every spanning-tree class it has solved until the scan ends.
     """
-    scan = partial(_scan_one, pd_cap=pd_cap)
-    jobs = min(jobs, os.cpu_count() or 1)
+    # The CPUs this process may run on: its affinity set, where the OS has one.
+    usable = getattr(os, "sched_getaffinity", None)
+    jobs = min(jobs, len(usable(0)) if usable else os.cpu_count() or 1)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker) as pool:
+            scan = partial(_scan_in_worker, pd_cap=pd_cap)
             records = list(pool.map(scan, instances, chunksize=8))
     else:
-        records = list(map(scan, instances))
+        records = list(map(partial(_scan_one, pd_cap=pd_cap, tree_pd={}), instances))
 
     histogram: dict[int, int] = {}
     conjecture = []

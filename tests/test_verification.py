@@ -396,8 +396,9 @@ def test_scan_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, workers):
     class InlinePool:
         """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             started.append(max_workers)
+            initializer()
 
         def __enter__(self):
             return self
@@ -410,12 +411,71 @@ def test_scan_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, workers):
 
     monkeypatch.setattr(udim.verification, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(udim.verification.os, "cpu_count", lambda: cpus)
-    result = conjecture_scan([("c4", gen_cycle(4)), ("c5", gen_cycle(5))], jobs=100_000)
+    # Without an affinity call the cap falls back to the CPU count.
+    monkeypatch.delattr(udim.verification.os, "sched_getaffinity", raising=False)
+    instances = [("c4", gen_cycle(4)), ("c5", gen_cycle(5))]
+    result = conjecture_scan(instances, jobs=100_000)
     assert started == workers
     assert [rec.instance for rec in result.records] == ["c4", "c5"]
+    # A process confined to one CPU (taskset, a cpuset) scans inline,
+    # whatever the host's CPU count.
+    started.clear()
+    monkeypatch.setattr(udim.verification.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert conjecture_scan(instances, jobs=100_000).to_json() == result.to_json()
+    assert started == []
 
 
 def test_scan_tree_entries_follow_cycle_edge_order():
     u = gen_c4k(2)
     result = conjecture_scan([("instance:0", u)])
     assert [e.deleted_edge for e in result.records[0].trees] == list(u.cycle_edges())
+
+
+def test_tree_class_memo_leaves_the_scan_unchanged(monkeypatch, unicyclic_classes):
+    # Each family's JSON with the scan's tree-class memo, inline and over two
+    # workers, against the same scan with every tree solved from scratch.
+    families = [[(f"n{n}#{i}", u) for n in range(3, 10) for i, u in enumerate(unicyclic_classes[n])]]
+    families += [
+        [(f"n{n}/seed{s}", gen_random_unicyclic(n, seed=s)) for s in range(10)]
+        for n in (10, 11, 12)
+    ]
+    memo = [json.dumps(conjecture_scan(f, jobs=jobs).to_json()) for f in families for jobs in (1, 2)]
+    solve = udim.verification.partition_dimension_exact
+    monkeypatch.setattr(
+        udim.verification, "partition_dimension_exact", lambda dm, cap, start=1: solve(dm, cap)
+    )
+    scratch = [json.dumps(conjecture_scan(f).to_json()) for f in families]
+    assert memo == [text for text in scratch for _ in (1, 2)]
+
+
+def test_a_known_tree_class_searches_only_its_pd_level(monkeypatch):
+    # pd(G) = 3 from the twin bound 2; the spanning trees fall into two
+    # classes of two trees each, every tree with pd 3 and twin bound 2.
+    u = gen_random_unicyclic(9, seed=1)
+    perm = [8, 3, 5, 0, 7, 1, 6, 2, 4]
+    relabelled = udim.validate_unicyclic(
+        graph_from_edges(9, [(perm[a], perm[b]) for a, b in u.graph.edges()])
+    )
+    levels: list[int] = []
+    rgs_blocks = udim.resolve._rgs_blocks
+
+    def counted(n, t, twins):
+        levels.append(t)
+        return rgs_blocks(n, t, twins)
+
+    monkeypatch.setattr(udim.resolve, "_rgs_blocks", counted)
+    per_instance = []
+
+    def instances():
+        yield ("u", u)
+        per_instance.append(levels[:])
+        levels.clear()
+        yield ("relabelled", relabelled)
+        per_instance.append(levels)
+
+    result = conjecture_scan(instances())
+    assert [e.pd for rec in result.records for e in rec.trees] == [3] * 8
+    # G, then the trees: the first of each class climbs from t = 2.
+    assert per_instance[0] == [2, 3] + [2, 3, 3] + [2, 3, 3]
+    # Every tree of the relabelled copy enumerates its pd level alone.
+    assert per_instance[1] == [2, 3] + [3, 3, 3, 3]
