@@ -26,6 +26,7 @@ from udim.cli import main  # noqa: E402
 
 TREE = "tests/golden/tree.edges"
 UNIT = "tests/golden/unit_terminal.edges"
+TWO_MAJORS = "tests/golden/two_majors.edges"
 RESOLVING = "tests/golden/path6-resolving.part"
 TWINS = "tests/golden/path6-twins.part"
 JSON = ["--format", "json"]
@@ -62,6 +63,13 @@ CASES = {
     "verify-twins": (["verify", TWINS, "--gen", "path:6"], False),
     "construct-kappa-tau-text": (["construct", "kappa-tau", "--gen", "c4k:3"], False),
     "scan-exhaustive-3-6-text": (["scan", "--exhaustive", "3..6"], False),
+    # two majors with unequal pendant counts: the pooled parts have groups
+    # shorter than the pool depth
+    "construct-kappa-tau-two-majors": (["construct", "kappa-tau", TWO_MAJORS], False),
+    "construct-xi-theta-two-majors": (
+        ["construct", "xi-theta", TWO_MAJORS, *JSON], False
+    ),
+    "analyze-two-majors": (["analyze", TWO_MAJORS], False),
 }
 
 
