@@ -159,7 +159,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         fields = [f"n1={inv.n1}", f"ex={inv.ex}", f"rho={inv.rho}",
                   f"kappa={inv.kappa}", f"tau={inv.tau}"]
         if inv.epsilon is not None:
-            a, b = report.epsilon_deleted_edge
+            a, b = inv.epsilon_deleted_edge
             fields.append(f"epsilon={inv.epsilon} (delete {a}-{b})")
         if inv.xi is not None:
             fields.append(f"xi={inv.xi} theta={inv.theta}")
@@ -336,14 +336,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser, with_file: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, *caps: str, with_file: bool = True) -> None:
+    """The input and format options, and ``--dim-cap``/``--pd-cap`` for each
+    solver named in ``caps``: the caps the command's handler reads."""
     if with_file:
         parser.add_argument("file", nargs="?", help="edge-list file (or use --gen)")
     specs = ", ".join(f"{name}:{letter}" for name, (letter, _) in GENERATORS.items())
     parser.add_argument("--gen", help=f"generator spec: {specs}")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP)
-    parser.add_argument("--pd-cap", type=int, default=DEFAULT_PD_CAP)
+    for cap in caps:
+        default = DEFAULT_DIM_CAP if cap == "dim" else DEFAULT_PD_CAP
+        parser.add_argument(f"--{cap}-cap", type=int, default=default)
 
 
 @functools.cache
@@ -368,14 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     _add_common(command("analyze", _cmd_analyze,
-                        "invariants, exact values and the bound chain"))
-    _add_common(command("dim", _cmd_exact, "exact metric dimension with witness set"))
+                        "invariants, exact values and the bound chain"), "dim", "pd")
+    _add_common(command("dim", _cmd_exact, "exact metric dimension with witness set"), "dim")
     _add_common(command("pd", _cmd_exact,
-                        "exact partition dimension with witness partition"))
+                        "exact partition dimension with witness partition"), "pd")
 
     p = command("construct", _cmd_construct, "build and verify a named construction")
     p.add_argument("name", choices=[name for name, _, _ in CONSTRUCTIONS] + ["lift"])
-    _add_common(p)
+    _add_common(p, "pd")  # the pd cap bounds the tree solve of ``lift``
 
     p = command("verify", _cmd_verify, "check a partition file against a graph")
     p.add_argument("partition", help="partition file: one part per line")

@@ -199,6 +199,17 @@ def unit_terminal_partition(u: UnicyclicGraph) -> CertifiedConstruction:
     return _certify_partition("unit-terminal", g.distances, parts, 3)
 
 
+def _pooled(groups: list, depth: int) -> list[set[int]]:
+    """Parts from groups of vertex sets: the first member of each group as
+    its own part, in group order, then for j = 2..depth the j-th members of
+    all groups pooled into one part."""
+    firsts = [set(group[0]) for group in groups]
+    return firsts + [
+        set().union(*(group[j] for group in groups if len(group) > j))
+        for j in range(1, depth)
+    ]
+
+
 def kappa_tau_partition(u: UnicyclicGraph) -> CertifiedConstruction:
     """A resolving partition of at most kappa + tau + 1 parts.
 
@@ -219,21 +230,8 @@ def kappa_tau_partition(u: UnicyclicGraph) -> CertifiedConstruction:
     s_l = profiles[0].major
     near = min(u.cycle, key=lambda c: (dm[c][s_l], c))
     v = min(c for c in g.adjacency[near] if c in set(u.cycle))
-    part_a = {v}
-    part_b = set(u.cycle) - {v}
-    firsts = [set(p.paths[0]) for p in profiles]
-    pooled = []
-    for j in range(2, tau):
-        pool = set()
-        for p in profiles:
-            if p.terminal_degree >= j:
-                pool.update(p.paths[j - 1])
-        pooled.append(pool)
-    assigned = part_a | part_b
-    for s in firsts + pooled:
-        assigned |= s
-    remainder = set(range(g.n)) - assigned
-    parts = [part_a, part_b, *firsts, *pooled, remainder]
+    parts = [{v}, set(u.cycle) - {v}, *_pooled([p.paths for p in profiles], tau - 1)]
+    parts.append(set(range(g.n)).difference(*parts))
     return _certify_partition("kappa-tau", dm, parts, kappa + tau + 1)
 
 
@@ -255,18 +253,9 @@ def xi_theta_partition(u: UnicyclicGraph) -> CertifiedConstruction:
             "both endpoints of the deleted edge have degree two in the graph"
         )
     groups = support_leaf_groups(tree.graph)
-    supports = sorted(groups)
     xi, theta = xi_theta(tree.graph)
-    firsts = [{groups[s][0]} for s in supports]
-    pooled = []
-    for j in range(2, theta + 1):
-        pool = {groups[s][j - 1] for s in supports if len(groups[s]) >= j}
-        pooled.append(pool)
-    assigned: set[int] = set()
-    for s in firsts + pooled:
-        assigned |= s
-    rest = set(range(g.n)) - assigned
-    parts = [rest, *firsts, *pooled]
+    pooled = _pooled([[{leaf} for leaf in groups[s]] for s in sorted(groups)], theta)
+    parts = [set(range(g.n)).difference(*pooled), *pooled]
     return _certify_partition("xi-theta", g.distances, parts, xi + theta)
 
 

@@ -37,8 +37,9 @@ class TerminalProfile:
 class GraphInvariants:
     """The structural counts the bound chain is stated in.
 
-    ``epsilon`` is only defined for unicyclic graphs, ``xi``/``theta`` only
-    for trees; the fields are None when they do not apply.
+    ``epsilon`` and the deleted edge of its spanning tree are only defined
+    for unicyclic graphs, ``xi``/``theta`` only for trees; the fields are
+    None when they do not apply.
     """
 
     n1: int
@@ -47,6 +48,7 @@ class GraphInvariants:
     kappa: int
     tau: int
     epsilon: int | None = None
+    epsilon_deleted_edge: tuple[int, int] | None = None
     xi: int | None = None
     theta: int | None = None
 
@@ -175,18 +177,19 @@ def epsilon(u: UnicyclicGraph) -> tuple[int, SpanningTree]:
 def graph_invariants(g: Graph, unicyclic: UnicyclicGraph | None = None) -> GraphInvariants:
     """Aggregate all counts that apply to a graph.
 
-    Pass the validated UnicyclicGraph to get epsilon; xi/theta are filled in
-    automatically when the graph is a tree.
+    Pass the validated UnicyclicGraph to get epsilon and its tree's deleted
+    edge; xi/theta are filled in automatically when the graph is a tree.
     """
     n1 = len(pendant_vertices(g))
     ex = exterior_major_count(g)
     k, t = kappa_tau(g)
-    eps = epsilon(unicyclic)[0] if unicyclic is not None else None
+    eps, eps_tree = epsilon(unicyclic) if unicyclic is not None else (None, None)
     if is_tree(g):
         xi_val, theta_val = xi_theta(g)
     else:
         xi_val = theta_val = None
     return GraphInvariants(
         n1=n1, ex=ex, rho=rho(g), kappa=k, tau=t,
-        epsilon=eps, xi=xi_val, theta=theta_val,
+        epsilon=eps, epsilon_deleted_edge=eps_tree and eps_tree.deleted_edge,
+        xi=xi_val, theta=theta_val,
     )

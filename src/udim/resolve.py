@@ -16,7 +16,7 @@ those checks independent of the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from operator import and_
 from typing import Iterable, Iterator, Sequence
@@ -57,7 +57,7 @@ class OrderedPartition:
     def t(self) -> int:
         return len(self.parts)
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(len(p) for p in self.parts)
 
@@ -105,14 +105,14 @@ def set_representation(
     return tuple(row[u] for u in landmarks)
 
 
-def _first_twin(vectors: Sequence[tuple[int, ...]]) -> tuple[int, int]:
-    n = len(vectors)
-    for u in range(n):
-        vu = vectors[u]
-        for v in range(u + 1, n):
+def _verdict(vectors: Sequence[tuple[int, ...]]) -> ResolutionWitness:
+    """Resolving iff the vectors are distinct; else the first equal pair u < v."""
+    if len(set(vectors)) == len(vectors):
+        return ResolutionWitness(resolving=True)
+    for u, vu in enumerate(vectors):
+        for v in range(u + 1, len(vectors)):
             if vu == vectors[v]:
-                return (u, v)
-    raise AssertionError("no twin pair found although vectors collide")
+                return ResolutionWitness(resolving=False, twins=(u, v))
 
 
 def check_resolving_partition(dm: DistanceMatrix, p: OrderedPartition) -> ResolutionWitness:
@@ -121,16 +121,8 @@ def check_resolving_partition(dm: DistanceMatrix, p: OrderedPartition) -> Resolu
     On failure the lexicographically first pair with equal representations is
     reported.
     """
-    _check_partition_shape(dm, p)
-    n = len(dm)
-    parts = [tuple(part) for part in p.parts]
-    vectors = []
-    for v in range(n):
-        row = dm[v]
-        vectors.append(tuple(min(row[u] for u in part) for part in parts))
-    if len(set(vectors)) == n:
-        return ResolutionWitness(resolving=True)
-    return ResolutionWitness(resolving=False, twins=_first_twin(vectors))
+    _check_partition_shape(dm, p)  # also for a graph with no vertex
+    return _verdict([partition_representation(dm, p, v) for v in range(len(dm))])
 
 
 def check_resolving_set(dm: DistanceMatrix, s: Iterable[int]) -> ResolutionWitness:
@@ -139,10 +131,7 @@ def check_resolving_set(dm: DistanceMatrix, s: Iterable[int]) -> ResolutionWitne
     landmarks = sorted(set(s))
     if landmarks and not (0 <= landmarks[0] and landmarks[-1] < n):
         raise InvalidPartitionError(f"landmark outside 0..{n - 1}")
-    vectors = [tuple(dm[v][u] for u in landmarks) for v in range(n)]
-    if len(set(vectors)) == n:
-        return ResolutionWitness(resolving=True)
-    return ResolutionWitness(resolving=False, twins=_first_twin(vectors))
+    return _verdict([set_representation(dm, landmarks, v) for v in range(n)])
 
 
 def check_cap(n: int, cap: int, solver: str) -> None:

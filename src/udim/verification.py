@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import random
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -335,7 +336,6 @@ class BoundsReport:
     kind: str  # "unicyclic" or "tree"
     cycle: tuple[int, ...] | None
     invariants: GraphInvariants
-    epsilon_deleted_edge: tuple[int, int] | None
     exact_dim: int | None
     dim_witness: tuple[int, ...] | None
     exact_pd: int | None
@@ -362,26 +362,14 @@ class BoundsReport:
         raise KeyError(name)
 
     def to_json(self) -> dict:
-        inv = self.invariants
         return {
             "instance": self.instance,
             "n": self.n,
             "kind": self.kind,
             "cycle": list(self.cycle) if self.cycle is not None else None,
             "invariants": {
-                "n1": inv.n1,
-                "ex": inv.ex,
-                "rho": inv.rho,
-                "kappa": inv.kappa,
-                "tau": inv.tau,
-                "epsilon": inv.epsilon,
-                "epsilon_deleted_edge": (
-                    list(self.epsilon_deleted_edge)
-                    if self.epsilon_deleted_edge is not None
-                    else None
-                ),
-                "xi": inv.xi,
-                "theta": inv.theta,
+                name: list(value) if isinstance(value, tuple) else value
+                for name, value in vars(self.invariants).items()
             },
             "exact": {
                 "dim": self.exact_dim,
@@ -523,7 +511,8 @@ def bounds_report(
         certificates[cert.name] = cert
         certified[bound] = cert.name
 
-    all_cycle_deg3 = all(g.degree(c) >= 3 for c in u.cycle)
+    # A construction's precondition is the hypothesis of the bound it backs.
+    pendant = "dim_pendant_support" in certified
     records = _bound_records(
         [
             ("dim_vs_tree_dim.lower", max(tree_dims) - 2, True, dim_detail),
@@ -533,10 +522,10 @@ def bounds_report(
             ("pd_vs_dim", exact_dim + 1 if exact_dim is not None else None, True),
             ("pd_vs_tree_leaves", min(leaf_scores) + 2, True, leaf_detail),
             ("pd_min_nonpath", 3, True),
-            ("dim_pendant_support", inv.n1 - inv.rho, all_cycle_deg3),
-            ("pd_pendant_support", inv.n1 - inv.rho + 1, all_cycle_deg3),
+            ("dim_pendant_support", inv.n1 - inv.rho, pendant),
+            ("pd_pendant_support", inv.n1 - inv.rho + 1, pendant),
             ("pd_unit_terminal", 3, inv.kappa == 0),
-            ("pd_kappa_tau", inv.kappa + inv.tau + 1, inv.kappa >= 1),
+            ("pd_kappa_tau", inv.kappa + inv.tau + 1, "pd_kappa_tau" in certified),
             (
                 "pd_kappa_tau_tree", kappa_T + tau_T + 1, kappa_T >= 1,
                 {"kappa_T": kappa_T, "tau_T": tau_T},
@@ -558,7 +547,6 @@ def bounds_report(
         kind="unicyclic",
         cycle=u.cycle,
         invariants=inv,
-        epsilon_deleted_edge=eps_tree.deleted_edge,
         exact_dim=exact_dim,
         dim_witness=dim_witness,
         exact_pd=exact_pd,
@@ -596,7 +584,6 @@ def tree_report(
         kind="tree",
         cycle=None,
         invariants=inv,
-        epsilon_deleted_edge=None,
         exact_dim=exact_dim,
         dim_witness=dim_witness,
         exact_pd=exact_pd,
@@ -674,12 +661,15 @@ class ScanResult:
         }
 
 
-def _scan_one(
-    instance: tuple[str, UnicyclicGraph], pd_cap: int, tree_pd: dict[Code, int]
-) -> ScanRecord:
-    """One instance's record.  ``tree_pd`` maps the free code of every tree
-    class solved so far to its pd: pd is an isomorphism invariant, so a tree
-    of a known class searches only its own witness level, in its own
+# The pd of every spanning-tree class solved in this process, keyed by its
+# free code.  conjecture_scan empties it before and after each scan, and the
+# pool's initializer in each worker; it only ever holds true pd values.
+_TREE_PD: dict[Code, int] = {}
+
+
+def _scan_one(instance: tuple[str, UnicyclicGraph], pd_cap: int) -> ScanRecord:
+    """One instance's record.  pd is an isomorphism invariant, so a tree of a
+    class in ``_TREE_PD`` searches only its own witness level, in its own
     labelling, and finds the same first witness as a search from scratch."""
     instance_id, u = instance
     try:
@@ -691,9 +681,9 @@ def _scan_one(
     for tree in u.spanning_trees:
         code = _free_code(tree.graph)
         pd_t, witness = partition_dimension_exact(
-            tree.graph.distances, cap=pd_cap, start=tree_pd.get(code, 1)
+            tree.graph.distances, cap=pd_cap, start=_TREE_PD.get(code, 1)
         )
-        tree_pd[code] = pd_t
+        _TREE_PD[code] = pd_t
         entries.append(
             TreeScanEntry(deleted_edge=tree.deleted_edge, pd=pd_t, witness=witness)
         )
@@ -707,18 +697,17 @@ def _scan_one(
     )
 
 
-# The tree-class pds of the one scan a pool worker serves; the pool's
-# initializer gives each worker an empty one, and it ends with the worker.
-_worker_tree_pd: dict[Code, int] | None = None
-
-
-def _start_worker() -> None:
-    global _worker_tree_pd
-    _worker_tree_pd = {}
-
-
-def _scan_in_worker(instance: tuple[str, UnicyclicGraph], pd_cap: int) -> ScanRecord:
-    return _scan_one(instance, pd_cap, _worker_tree_pd)
+def _map_in_workers(jobs: int, fn, items: Iterable) -> Iterator:
+    """``fn`` over ``items`` in a pool of ``jobs`` processes, in item order,
+    with at most 8 * jobs items drawn whose results are not yet returned."""
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_TREE_PD.clear) as pool:
+        pending: deque = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == 8 * jobs:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def conjecture_scan(
@@ -732,19 +721,21 @@ def conjecture_scan(
     ``instances`` yields (id, graph) pairs; the scan reads it once and holds
     no graph past its record.  Deterministic for a fixed instance stream;
     violation lists are ordered by instance position.  ``jobs`` > 1 fans
-    instances out to worker processes, at most one per usable CPU, and
-    merges results in submission order.  The scan, and each worker, keeps
-    the pd of every spanning-tree class it has solved until the scan ends.
+    instances out to worker processes, at most one per usable CPU, with at
+    most 8 instances per worker drawn ahead of the merged records, which
+    keep the order of the stream.  The scan, and each worker, keeps the pd
+    of every spanning-tree class it has solved until the scan ends.
     """
     # The CPUs this process may run on: its affinity set, where the OS has one.
     usable = getattr(os, "sched_getaffinity", None)
     jobs = min(jobs, len(usable(0)) if usable else os.cpu_count() or 1)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker) as pool:
-            scan = partial(_scan_in_worker, pd_cap=pd_cap)
-            records = list(pool.map(scan, instances, chunksize=8))
-    else:
-        records = list(map(partial(_scan_one, pd_cap=pd_cap, tree_pd={}), instances))
+    scan = partial(_scan_one, pd_cap=pd_cap)
+    _TREE_PD.clear()
+    try:
+        scanned = _map_in_workers(jobs, scan, instances) if jobs > 1 else map(scan, instances)
+        records = list(scanned)
+    finally:
+        _TREE_PD.clear()
 
     histogram: dict[int, int] = {}
     conjecture = []

@@ -284,6 +284,45 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+def test_each_command_takes_only_the_options_its_handler_reads():
+    # A new option shows up here; every one listed is read by its handler.
+    sub = next(
+        a for a in udim.cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        name: sorted(s for a in p._actions for s in a.option_strings if s not in ("-h", "--help"))
+        for name, p in sub.choices.items()
+    }
+    common = ["--format", "--gen"]
+    assert options == {
+        "analyze": ["--dim-cap", *common, "--pd-cap"],
+        "dim": ["--dim-cap", *common],
+        "pd": [*common, "--pd-cap"],
+        "construct": [*common, "--pd-cap"],
+        "verify": common,
+        "scan": ["--exhaustive", "--format", "--jobs", "--n", "--pd-cap", "--random", "--seed"],
+        "gen": common,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "--gen", "path:3", "--pd-cap", "4"],
+        ["pd", "--gen", "path:3", "--dim-cap", "4"],
+        ["construct", "cycle", "--gen", "cycle:4", "--dim-cap", "4"],
+        ["verify", "parts.txt", "--gen", "path:3", "--pd-cap", "4"],
+        ["gen", "--gen", "path:3", "--pd-cap", "4"],
+    ],
+    ids=["dim", "pd", "construct", "verify", "gen"],
+)
+def test_a_cap_the_command_does_not_read_is_a_usage_error(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --" in captured.err
+
+
 def test_scan_rejects_empty_range(capsys):
     assert run(capsys, "scan", "--exhaustive", "5..3")[0] == 1
 

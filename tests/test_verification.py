@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import weakref
+from concurrent.futures import Executor
 from itertools import combinations
 
 import pytest
@@ -389,27 +390,41 @@ def test_scan_keeps_no_graph_of_the_stream():
     assert freed == [None] * 4
 
 
-@pytest.mark.parametrize("cpus, workers", [(2, [2]), (1, []), (None, [])])
-def test_scan_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, workers):
-    started = []
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stands in for ProcessPoolExecutor: logs each pool's max_workers and
+    counts the results taken; ``map`` is Executor's own, which submits the
+    whole iterable before it returns a result."""
+    log = {"started": [], "taken": 0}
 
-    class InlinePool:
-        """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+    class LazyFuture:
+        """A task that runs in-process when its result is taken."""
 
-        def __init__(self, max_workers, initializer):
-            started.append(max_workers)
-            initializer()
+        def __init__(self, fn, args):
+            self.fn, self.args = fn, args
 
-        def __enter__(self):
-            return self
+        def result(self, timeout=None):
+            log["taken"] += 1
+            return self.fn(*self.args)
 
-        def __exit__(self, *exc):
+        def cancel(self):
             return False
 
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+    class InlinePool(Executor):
+        def __init__(self, max_workers, initializer):
+            log["started"].append(max_workers)
+            initializer()
+
+        def submit(self, fn, /, *args):
+            return LazyFuture(fn, args)
 
     monkeypatch.setattr(udim.verification, "ProcessPoolExecutor", InlinePool)
+    return log
+
+
+@pytest.mark.parametrize("cpus, workers", [(2, [2]), (1, []), (None, [])])
+def test_scan_pool_is_capped_at_the_cpu_count(monkeypatch, inline_pool, cpus, workers):
+    started = inline_pool["started"]
     monkeypatch.setattr(udim.verification.os, "cpu_count", lambda: cpus)
     # Without an affinity call the cap falls back to the CPU count.
     monkeypatch.delattr(udim.verification.os, "sched_getaffinity", raising=False)
@@ -423,6 +438,24 @@ def test_scan_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, workers):
     monkeypatch.setattr(udim.verification.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert conjecture_scan(instances, jobs=100_000).to_json() == result.to_json()
     assert started == []
+
+
+def test_scan_in_workers_draws_a_bounded_stream(monkeypatch, inline_pool):
+    # Under jobs=2 at most 8 instances per worker are drawn ahead of the
+    # records taken back, and the records keep the order of the stream.
+    monkeypatch.setattr(udim.verification.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    ahead = []
+
+    def instances():
+        for i in range(40):
+            ahead.append(i - inline_pool["taken"])
+            yield (f"c{i}", gen_cycle(3 + i % 4))
+
+    result = conjecture_scan(instances(), jobs=2)
+    assert inline_pool["started"] == [2]
+    assert [rec.instance for rec in result.records] == [f"c{i}" for i in range(40)]
+    assert max(ahead) == 15
+    assert result.to_json() == conjecture_scan(instances()).to_json()
 
 
 def test_scan_tree_entries_follow_cycle_edge_order():
