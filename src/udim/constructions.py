@@ -18,7 +18,6 @@ from .invariants import (
     rho,
     support_leaf_groups,
     xi_theta,
-    epsilon,
 )
 from .resolve import (
     OrderedPartition,
@@ -246,7 +245,7 @@ def xi_theta_partition(u: UnicyclicGraph) -> CertifiedConstruction:
     if u.is_cycle_graph():
         raise PreconditionError("graph is a cycle; the bound needs a branch vertex")
     g = u.graph
-    _, tree = epsilon(u)
+    _, tree = u.epsilon
     a, b = tree.deleted_edge
     if g.degree(a) < 3 and g.degree(b) < 3:
         raise PreconditionError(

@@ -3,16 +3,19 @@
 Vertices are dense 0-based integers so that distance matrices can be plain
 index-addressed tuples.  All types are frozen and safe to share across
 workers.  A graph computes its distance matrix and terminal profiles, and a
-unicyclic graph its spanning trees, once, on first use, and keeps them for
-its lifetime.
+unicyclic graph its spanning trees and its minimum-leaf tree, once, on first
+use, and keeps them for its lifetime.  A spanning tree derives its distance
+matrix from its unicyclic graph's instead of running a BFS of its own.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator
+
+import numpy as np
 
 from .errors import (
     DisconnectedGraphError,
@@ -36,6 +39,10 @@ class Graph:
 
     n: int
     adjacency: tuple[tuple[int, ...], ...]
+    # Set on a spanning tree of a unicyclic graph: the graph's layout and the
+    # index i of the deleted cycle edge c_i c_(i+1), from which the tree's
+    # distances are derived.  Not part of the graph's value.
+    _cut: tuple[_CycleLayout, int] | None = field(default=None, compare=False, repr=False)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -57,6 +64,8 @@ class Graph:
     @cached_property
     def distances(self) -> DistanceMatrix:
         """The all-pairs distance matrix, built on first use and kept."""
+        if self._cut is not None:
+            return _tree_distances(*self._cut)
         return all_pairs_distances(self)
 
     @cached_property
@@ -214,6 +223,13 @@ class UnicyclicGraph:
         """The k spanning trees, built on first use and kept."""
         return spanning_trees(self)
 
+    @cached_property
+    def epsilon(self) -> tuple[int, SpanningTree]:
+        """invariants.epsilon of this graph, computed on first use and kept."""
+        from . import invariants
+
+        return invariants.epsilon(self)
+
 
 def validate_unicyclic(g: Graph) -> UnicyclicGraph:
     """Check connectivity and |E| = |V|, then extract the canonical cycle.
@@ -260,12 +276,54 @@ class SpanningTree:
     deleted_edge: tuple[int, int]
 
 
+@dataclass(frozen=True)
+class _CycleLayout:
+    """A unicyclic graph's distance matrix and cycle.  It holds no link to the
+    graph, so its spanning trees hold none either."""
+
+    distances: DistanceMatrix
+    cycle: tuple[int, ...]
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """(cycle roots, distances, same cycle root, depth sum) as arrays,
+        built on the first tree derivation and shared by all k trees.  A
+        vertex's root is its nearest cycle vertex, as an index into the cycle,
+        and its depth the distance to it."""
+        dist = np.array(self.distances)
+        to_cycle = dist[:, self.cycle]
+        root, depth = to_cycle.argmin(axis=1), to_cycle.min(axis=1)
+        return root, dist, root[:, None] == root[None, :], depth[:, None] + depth[None, :]
+
+
+def _tree_distances(layout: _CycleLayout, i: int) -> DistanceMatrix:
+    """The distance matrix of the spanning tree that deletes cycle edge
+    c_i c_(i+1), derived from the unicyclic graph's.
+
+    The cut turns the cycle into the path c_(i+1), ..., c_i, on which c_j sits
+    at p_j = (j - i - 1) mod k.  Vertices x, y with one cycle root keep their
+    distance; otherwise d_T(x, y) = depth(x) + depth(y) + |p(x) - p(y)|.  This
+    is a distance identity, not one of the bounds the suite checks.
+    """
+    root, dist, same_root, depth_sum = layout.arrays
+    p = (root - (i + 1)) % len(layout.cycle)
+    tree = np.where(same_root, dist, depth_sum + np.abs(p[:, None] - p[None, :]))
+    return tuple(map(tuple, tree.tolist()))
+
+
 def spanning_trees(u: UnicyclicGraph) -> tuple[SpanningTree, ...]:
-    """All k spanning trees, one per deleted cycle edge, in cycle-edge order."""
+    """All k spanning trees, one per deleted cycle edge, in cycle-edge order.
+
+    Each tree derives its distance matrix from the graph's on first use
+    (``_tree_distances``); the graph's matrix is built here.
+    """
     g = u.graph
-    all_edges = list(g.edges())
+    layout = _CycleLayout(g.distances, u.cycle)
     trees = []
-    for removed in u.cycle_edges():
-        tree_graph = graph_from_edges(g.n, (e for e in all_edges if e != removed))
-        trees.append(SpanningTree(graph=tree_graph, deleted_edge=removed))
+    for i, (a, b) in enumerate(u.cycle_edges()):
+        adjacency = list(g.adjacency)
+        adjacency[a] = tuple(w for w in adjacency[a] if w != b)
+        adjacency[b] = tuple(w for w in adjacency[b] if w != a)
+        tree_graph = Graph(g.n, tuple(adjacency), _cut=(layout, i))
+        trees.append(SpanningTree(graph=tree_graph, deleted_edge=(a, b)))
     return tuple(trees)

@@ -183,7 +183,7 @@ def graph_invariants(g: Graph, unicyclic: UnicyclicGraph | None = None) -> Graph
     n1 = len(pendant_vertices(g))
     ex = exterior_major_count(g)
     k, t = kappa_tau(g)
-    eps, eps_tree = epsilon(unicyclic) if unicyclic is not None else (None, None)
+    eps, eps_tree = unicyclic.epsilon if unicyclic is not None else (None, None)
     if is_tree(g):
         xi_val, theta_val = xi_theta(g)
     else:

@@ -6,7 +6,10 @@ solvers decide one rule, stated once in ``_ties``: landmarks or parts resolve
 the graph iff no vertex pair u < v is tied on every coordinate of r(.).  They
 try landmark subsets, or partitions as restricted-growth strings (the rule is
 invariant under reordering blocks), in lexicographic order, and the first
-resolving one is the witness.  The pd search never builds a partition that
+resolving one is the witness.  Both walk their prefixes depth-first on an
+explicit stack: the dim search carries each subset prefix's AND of tie
+bitmasks down the walk, the pd search hands each string prefix's tails to a
+vectorized evaluator.  The pd search never builds a partition that
 puts two distance twins (a pair only its own two vertices separate) in one
 part: such a pair is tied on every part.  This is a distance identity, not
 one of the bounds the verification suite checks, so pruning with it keeps
@@ -16,9 +19,7 @@ those checks independent of the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
-from itertools import combinations
-from operator import and_
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -167,6 +168,32 @@ def _landmark_ties(dist: np.ndarray) -> Iterator[np.ndarray]:
         yield _ties(dist[i : i + step])
 
 
+def _first_zero_and(masks: Sequence[int], m: int) -> tuple[int, ...] | None:
+    """The lexicographically first m-subset of indices whose ints AND to 0.
+
+    Depth-first over subset prefixes on an explicit stack, children pushed in
+    reverse so they pop in lex order.  An entry (fixed, w, acc) puts w at
+    position fixed - 1 and carries the AND of its ancestors' ints, so each
+    prefix costs one AND; the last position is tried inline against the
+    prefix's AND.
+    """
+    n = len(masks)
+    prefix = [0] * m
+    stack = [(1, w, -1) for w in reversed(range(n - m + 1))]
+    while stack:
+        fixed, w, acc = stack.pop()
+        prefix[fixed - 1] = w
+        acc &= masks[w]
+        if fixed == m - 1:
+            for last in range(w + 1, n):
+                if not acc & masks[last]:
+                    return (*prefix[:fixed], last)
+            continue
+        # A child leaves room after it for the m - fixed - 1 positions left.
+        stack.extend((fixed + 1, x, acc) for x in reversed(range(w + 1, n - m + fixed + 1)))
+    return None
+
+
 def metric_dimension_exact(
     dm: DistanceMatrix, cap: int = DEFAULT_DIM_CAP
 ) -> tuple[int, tuple[int, ...]]:
@@ -175,6 +202,9 @@ def metric_dimension_exact(
     Landmark w becomes one int with bit p set iff w ties vertex pair p; the
     first subset whose ints AND to 0 is returned.  Singletons are tried while
     the ints are built, so a graph of dimension 1 builds only the first.
+    Larger subsets are walked depth-first in the same order, each prefix
+    carrying the AND of its ints, so a subset costs one AND beyond its
+    prefix's (``_first_zero_and``).
     """
     n = len(dm)
     check_cap(n, cap, "metric-dimension")
@@ -187,9 +217,9 @@ def metric_dimension_exact(
             if not masks[-1]:
                 return (1, (len(masks) - 1,))
     for m in range(2, n + 1):
-        for subset in combinations(range(n), m):
-            if not reduce(and_, [masks[w] for w in subset]):
-                return (m, subset)
+        subset = _first_zero_and(masks, m)
+        if subset is not None:
+            return (m, subset)
     raise AssertionError("the full vertex set always resolves")
 
 

@@ -28,7 +28,6 @@ from .graphs import (
 )
 from .invariants import (
     GraphInvariants,
-    epsilon,
     exterior_major_count,
     graph_invariants,
     kappa_tau,
@@ -484,7 +483,7 @@ def bounds_report(
     """
     g = u.graph
     inv = graph_invariants(g, unicyclic=u)
-    _, eps_tree = epsilon(u)
+    _, eps_tree = u.epsilon
     exact_dim, dim_witness, exact_pd, pd_witness = _exact(g, dim_cap, pd_cap)
 
     dim_detail: dict[str, int] = {}

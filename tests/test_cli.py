@@ -108,21 +108,29 @@ def test_no_distance_matrix_for_the_solvers_above_both_caps(monkeypatch, capsys)
     # Above both caps the solvers' callers answer from the caps alone: a cap
     # error, or the tree-dim formula, without an all-pairs distance matrix.
     # The one matrix left belongs to the cycle certificate, which analyze
-    # checks whatever the caps.
-    build = udim.graphs.all_pairs_distances
+    # checks whatever the caps.  A spanning tree's matrix is derived from its
+    # graph's, so derivations are recorded too.
+    build, derive = udim.graphs.all_pairs_distances, udim.graphs._tree_distances
     sizes = []
 
     def recording(g):
         sizes.append(g.n)
         return build(g)
 
+    def derived(layout, i):
+        sizes.append(("tree", len(layout.distances)))
+        return derive(layout, i)
+
     monkeypatch.setattr(udim.graphs, "all_pairs_distances", recording)
+    monkeypatch.setattr(udim.graphs, "_tree_distances", derived)
     for argv, cap, matrices in [
         (("dim", "--gen", "cycle:40"), "metric-dimension cap 16", []),
         (("pd", "--gen", "cycle:40"), "partition-dimension cap 12", []),
         (("construct", "lift", "--gen", "cycle:40"), "partition-dimension cap 12", []),
         (("analyze", "--gen", "cycle:40"), None, [40]),
         (("analyze", "--gen", "path:40"), None, []),
+        # Within the dim cap: one BFS, then each tree's matrix for its exact dim.
+        (("analyze", "--gen", "cycle:16"), None, [16] + [("tree", 16)] * 16),
     ]:
         sizes.clear()
         assert main(list(argv)) == (1 if cap else 0)

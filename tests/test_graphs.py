@@ -234,6 +234,38 @@ def test_spanning_tree_count_equals_cycle_length(u):
     assert len(spanning_trees(u)) == u.k
 
 
+def test_tree_distances_derived_from_the_graph_equal_bfs(unicyclic_classes):
+    graphs = [u for n in range(3, 11) for u in unicyclic_classes[n]]
+    graphs += [gen_random_unicyclic(13 + s % 4, seed=s) for s in range(200)]
+    for u in graphs:
+        for tree in spanning_trees(u):
+            assert tree.graph.distances == all_pairs_distances(tree.graph)
+
+
+def test_reading_a_trees_distances_derives_that_tree_only(monkeypatch):
+    derive = udim.graphs._tree_distances
+    derived = []
+
+    def counted(layout, i):
+        derived.append(i)
+        return derive(layout, i)
+
+    monkeypatch.setattr(udim.graphs, "_tree_distances", counted)
+    u = gen_random_unicyclic(14, seed=3)
+    trees = spanning_trees(u)
+    assert derived == []
+    trees[2].graph.distances
+    trees[2].graph.distances
+    assert derived == [2]
+
+
+def test_a_spanning_tree_equals_the_same_graph_built_from_its_edges():
+    u = gen_c4k(2)
+    for tree in spanning_trees(u):
+        rebuilt = graph_from_edges(u.graph.n, tree.graph.edges())
+        assert tree.graph == rebuilt and hash(tree.graph) == hash(rebuilt)
+
+
 def test_random_unicyclic_validates_at_scale():
     for seed in range(1000):
         u = gen_random_unicyclic(12, seed=seed)

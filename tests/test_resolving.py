@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
 from itertools import combinations, islice, product
+from operator import and_
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from udim import (
     gen_c4k,
     gen_cycle,
     gen_path,
+    gen_random_unicyclic,
     graph_from_edges,
     metric_dimension_exact,
     partition_dimension_exact,
@@ -230,6 +233,28 @@ def test_dim_witness_is_the_oracles_first_subset(unicyclic_classes, tree_classes
     graphs = [u.graph for n in range(3, 9) for u in unicyclic_classes[n]]
     graphs += [t for n in range(1, 10) for t in tree_classes[n]]
     for g in graphs:
+        dm = all_pairs_distances(g)
+        assert metric_dimension_exact(dm) == _dim_by_direct_enumeration(dm)
+
+
+@given(st.lists(st.integers(0, 63), min_size=2, max_size=9))
+def test_first_zero_and_is_the_first_subset_in_lex_order(masks):
+    # Few bits per int put the first zero AND anywhere in the order, also at
+    # the last index each position may take.
+    for m in range(2, len(masks) + 1):
+        expected = next(
+            (s for s in combinations(range(len(masks)), m)
+             if not reduce(and_, [masks[w] for w in s])),
+            None,
+        )
+        assert resolve._first_zero_and(masks, m) == expected
+
+
+@pytest.mark.parametrize("i", [*range(20), 259, 382, 394])
+def test_dim_witness_is_the_oracles_first_subset_at_n_13_to_16(i):
+    # i = 259, 382 and 394 have spanning trees of dim 6, the deepest walks.
+    u = gen_random_unicyclic(13 + i % 4, i)
+    for g in [u.graph] + [tree.graph for tree in u.spanning_trees]:
         dm = all_pairs_distances(g)
         assert metric_dimension_exact(dm) == _dim_by_direct_enumeration(dm)
 

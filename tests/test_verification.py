@@ -275,25 +275,31 @@ def test_report_without_constructions():
 
 
 def test_report_builds_each_distance_matrix_and_the_spanning_trees_once(monkeypatch):
-    counts = {"all_pairs_distances": [], "spanning_trees": 0}
-    build, trees = udim.graphs.all_pairs_distances, udim.graphs.spanning_trees
+    # One BFS for the graph; each tree's matrix is derived from it, once.
+    counts = {"all_pairs_distances": [], "derived": [], "spanning_trees": 0}
+    build, derive = udim.graphs.all_pairs_distances, udim.graphs._tree_distances
+    trees = udim.graphs.spanning_trees
 
     def distances(g):
         counts["all_pairs_distances"].append(g)
         return build(g)
+
+    def derived(layout, i):
+        counts["derived"].append(i)
+        return derive(layout, i)
 
     def spanning(u):
         counts["spanning_trees"] += 1
         return trees(u)
 
     monkeypatch.setattr(udim.graphs, "all_pairs_distances", distances)
+    monkeypatch.setattr(udim.graphs, "_tree_distances", derived)
     monkeypatch.setattr(udim.graphs, "spanning_trees", spanning)
     u = gen_c4k(3)  # n = 7, within both caps
     bounds_report(u)
     assert counts["spanning_trees"] == 1
-    built = counts["all_pairs_distances"]
-    assert len(built) == 1 + u.k
-    assert set(map(id, built)) == {id(u.graph)} | {id(t.graph) for t in u.spanning_trees}
+    assert [id(g) for g in counts["all_pairs_distances"]] == [id(u.graph)]
+    assert sorted(counts["derived"]) == list(range(u.k))
 
 
 def test_report_runs_terminal_profiles_once_per_graph(monkeypatch):
