@@ -282,9 +282,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         raise UdimError("--random must be non-negative")
     if args.exhaustive:
         lo, hi = _parse_range(args.exhaustive)
-        # Every size and the pd cap are checked here, before the first pd solve.
-        families = [(n, gen_exhaustive_unicyclic(n, dedup=True)) for n in range(lo, hi + 1)]
-        check_cap(hi, args.pd_cap, "partition-dimension")
+        families = [(n, gen_exhaustive_unicyclic(n)) for n in range(lo, hi + 1)]
         instances = (
             (f"n{n}#{i}", u) for n, family in families for i, u in enumerate(family)
         )
@@ -292,6 +290,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     elif args.random is not None:
         if args.n is None:
             raise UdimError("--random needs --n")
+        hi = args.n
         instances = (
             (f"n{args.n}/seed{seed}", gen_random_unicyclic(args.n, seed=seed))
             for seed in range(args.seed, args.seed + args.random)
@@ -305,6 +304,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         }
     else:
         raise UdimError("scan needs --exhaustive A..B or --random N --n K")
+    # Every size and the pd cap are checked here, before the first graph is drawn.
+    check_cap(hi, args.pd_cap, "partition-dimension")
     result = conjecture_scan(instances, pd_cap=args.pd_cap, jobs=args.jobs, metadata=metadata)
     if args.format == "json":
         _print_json(result.to_json())

@@ -108,11 +108,7 @@ def pendant_resolving_set(u: UnicyclicGraph) -> CertifiedConstruction:
                 "every cycle vertex must have degree greater than two"
             )
     pendants = pendant_vertices(g)
-    dropped: set[int] = set()
-    for v in range(g.n):
-        mine = sorted(w for w in g.adjacency[v] if w in pendants)
-        if len(mine) >= 2:
-            dropped.add(mine[-1])
+    dropped = {group[-1] for group in support_leaf_groups(g).values() if len(group) >= 2}
     chosen = frozenset(pendants - dropped)
     bound = len(pendants) - rho(g)
     return _certify_set("pendant-set", g.distances, chosen, bound)

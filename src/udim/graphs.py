@@ -47,9 +47,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
     @property
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2

@@ -122,12 +122,7 @@ def exterior_major_count(g: Graph) -> int:
 
 def rho(g: Graph) -> int:
     """Number of support vertices adjacent to more than one pendant."""
-    pendants = pendant_vertices(g)
-    return sum(
-        1
-        for v in range(g.n)
-        if sum(1 for w in g.adjacency[v] if w in pendants) >= 2
-    )
+    return sum(1 for group in support_leaf_groups(g).values() if len(group) >= 2)
 
 
 def kappa_tau(g: Graph) -> tuple[int, int]:
@@ -141,21 +136,18 @@ def kappa_tau(g: Graph) -> tuple[int, int]:
     return (len(degrees), max(degrees))
 
 
-def support_leaf_groups(t: Graph) -> dict[int, tuple[int, ...]]:
-    """Map each support vertex of a tree to its adjacent leaves, sorted by label."""
-    if not is_tree(t):
-        raise NotATreeError("support/leaf counts are only defined for trees")
-    leaves = pendant_vertices(t)
-    groups: dict[int, tuple[int, ...]] = {}
-    for v in range(t.n):
-        adj_leaves = tuple(sorted(w for w in t.adjacency[v] if w in leaves))
-        if adj_leaves:
-            groups[v] = adj_leaves
-    return groups
+def support_leaf_groups(g: Graph) -> dict[int, tuple[int, ...]]:
+    """Map each support vertex to its adjacent pendants, sorted by label."""
+    groups: dict[int, list[int]] = {}
+    for w in sorted(pendant_vertices(g)):
+        groups.setdefault(g.adjacency[w][0], []).append(w)
+    return {s: tuple(ws) for s, ws in groups.items()}
 
 
 def xi_theta(t: Graph) -> tuple[int, int]:
     """(number of support vertices, max leaves adjacent to any support) of a tree."""
+    if not is_tree(t):
+        raise NotATreeError("support/leaf counts are only defined for trees")
     groups = support_leaf_groups(t)
     if not groups:
         return (0, 0)

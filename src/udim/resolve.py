@@ -67,7 +67,12 @@ class OrderedPartition:
 
     @classmethod
     def from_parts(cls, parts: Iterable[Iterable[int]]) -> "OrderedPartition":
-        return cls(parts=tuple(frozenset(p) for p in parts))
+        """Build from vertex lists; a vertex listed twice in one part is an
+        error, not silently merged."""
+        lists = [list(p) for p in parts]
+        if any(len(set(p)) != len(p) for p in lists):
+            raise InvalidPartitionError("a part lists a vertex twice")
+        return cls(parts=tuple(frozenset(p) for p in lists))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
 from .constructions import CONSTRUCTIONS, CertifiedConstruction
@@ -118,75 +117,20 @@ def gen_random_unicyclic(n: int, seed: int) -> UnicyclicGraph:
     return validate_unicyclic(graph_from_edges(n, edges))
 
 
-def _cycle_arrangements(vs: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Distinct cycles on a vertex set: fix the smallest first, mod reflection."""
-    s0, *rest = sorted(vs)
-    if len(rest) == 2:
-        yield (s0, rest[0], rest[1])
-        return
-    for perm in permutations(rest):
-        if perm[0] < perm[-1]:
-            yield (s0, *perm)
+def gen_exhaustive_unicyclic(n: int, *, dedup: bool = True) -> Iterator[UnicyclicGraph]:
+    """One graph per isomorphism class of unicyclic graphs on 3 <= n <= 12
+    vertices, generated directly from canonical cycle decorations.
 
-
-def _forest_attachments(n: int, cycle_vertices: Sequence[int]) -> Iterator[dict[int, int]]:
-    """All acyclic parent maps for the vertices outside the cycle, in lex order."""
-    on_cycle = [False] * n
-    for c in cycle_vertices:
-        on_cycle[c] = True
-    rest = [w for w in range(n) if not on_cycle[w]]
-    parent: dict[int, int] = {}
-
-    def creates_cycle(w: int, p: int) -> bool:
-        cur = p
-        while not on_cycle[cur]:
-            if cur == w:
-                return True
-            if cur not in parent:
-                return False
-            cur = parent[cur]
-        return False
-
-    def rec(i: int) -> Iterator[dict[int, int]]:
-        if i == len(rest):
-            yield dict(parent)
-            return
-        w = rest[i]
-        for p in range(n):
-            if p != w and not creates_cycle(w, p):
-                parent[w] = p
-                yield from rec(i + 1)
-                del parent[w]
-
-    yield from rec(0)
-
-
-def gen_exhaustive_unicyclic(n: int, dedup: bool = False) -> Iterator[UnicyclicGraph]:
-    """Every labeled unicyclic graph on n <= 7 vertices exactly once.
-
-    With ``dedup=True`` only one representative per isomorphism class is
-    produced, for n <= 12, generated directly from canonical cycle
-    decorations.  Every per-graph claim is invariant under isomorphism, so
-    the classes are what the scan covers; the labeled stream serves as the
-    tests' oracle for them.  The range of n is checked at the call, before
-    the first graph is generated.
+    Every per-graph claim is invariant under isomorphism, so the classes are
+    what the scan covers.  ``dedup`` is kept for callers that still pass
+    ``dedup=True``; there is no labeled stream, so False is an error.  Both
+    are checked at the call, before the first graph is generated.
     """
-    top, family = (12, "") if dedup else (7, " labeled")
-    if not 3 <= n <= top:
-        raise UdimError(f"exhaustive{family} generation supports 3 <= n <= {top}")
-    return _unicyclic_classes(n) if dedup else _labeled_unicyclic(n)
-
-
-def _labeled_unicyclic(n: int) -> Iterator[UnicyclicGraph]:
-    for k in range(3, n + 1):
-        for subset in combinations(range(n), k):
-            for arrangement in _cycle_arrangements(subset):
-                cycle_edges = [
-                    (arrangement[i], arrangement[(i + 1) % k]) for i in range(k)
-                ]
-                for parent in _forest_attachments(n, arrangement):
-                    edges = cycle_edges + sorted(parent.items())
-                    yield validate_unicyclic(graph_from_edges(n, edges))
+    if not dedup:
+        raise UdimError("exhaustive generation yields isomorphism classes only")
+    if not 3 <= n <= 12:
+        raise UdimError("exhaustive generation supports 3 <= n <= 12")
+    return _unicyclic_classes(n)
 
 
 # -- unlabeled enumeration via canonical rooted trees --------------------------

@@ -15,7 +15,7 @@ settings.load_profile("udim")
 def unicyclic_classes() -> dict[int, list[udim.UnicyclicGraph]]:
     """One representative per unicyclic isomorphism class, for n in 3..10."""
     return {
-        n: list(udim.gen_exhaustive_unicyclic(n, dedup=True)) for n in range(3, 11)
+        n: list(udim.gen_exhaustive_unicyclic(n)) for n in range(3, 11)
     }
 
 

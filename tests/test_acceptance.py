@@ -65,7 +65,7 @@ def _report_line(num: int, description: str, ok: bool, started: float, extra: st
 def family9():
     out = []
     for n in range(3, 10):
-        for i, u in enumerate(gen_exhaustive_unicyclic(n, dedup=True)):
+        for i, u in enumerate(gen_exhaustive_unicyclic(n)):
             out.append((f"n{n}#{i}", u))
     return tuple(out)
 
@@ -118,7 +118,7 @@ def test_c02_pd_two_iff_path():
         if pd != 2:
             failures.append(f"P_{n} gave {pd}")
     for n in range(3, 9):
-        for i, u in enumerate(gen_exhaustive_unicyclic(n, dedup=True)):
+        for i, u in enumerate(gen_exhaustive_unicyclic(n)):
             pd, _ = partition_dimension_exact(all_pairs_distances(u.graph))
             if pd < 3:
                 failures.append(f"n{n}#{i} gave {pd}")

@@ -195,6 +195,8 @@ def test_verify_malformed_partition(tmp_path, capsys):
     assert run(capsys, "verify", str(part), "--gen", "cycle:4")[0] == 1
     part.write_text("0 1\n")  # gap
     assert run(capsys, "verify", str(part), "--gen", "cycle:4")[0] == 1
+    part.write_text("0 0\n1 2\n")  # a vertex listed twice in one part
+    assert run(capsys, "verify", str(part), "--gen", "path:3")[0] == 1
 
 
 def test_scan_exhaustive(capsys):
@@ -260,6 +262,20 @@ def test_scan_pd_cap_is_checked_before_any_pd_solve(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: n=11 exceeds the partition-dimension cap 10\n"
+
+
+def test_scan_random_pd_cap_is_checked_before_any_graph(monkeypatch, capsys):
+    # Rejection sampling at a large n with a short cycle runs for a long time,
+    # so n is compared with the pd cap before the first graph is drawn.
+    def draw(*args, **kwargs):
+        raise AssertionError("a graph was drawn before the pd cap was checked")
+
+    monkeypatch.setattr(udim.cli, "gen_random_unicyclic", draw)
+    for count in ("1", "0"):
+        assert main(["scan", "--random", count, "--n", "100000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n=100000 exceeds the partition-dimension cap 12\n"
 
 
 def test_scan_rejects_a_negative_random_count(capsys):

@@ -156,7 +156,7 @@ def test_distance_matrix_axioms_on_random_instances():
             assert dm[i][i] == 0
             for j in range(g.n):
                 assert dm[i][j] == dm[j][i]
-                assert (dm[i][j] == 1) == g.has_edge(i, j)
+                assert (dm[i][j] == 1) == (j in g.adjacency[i])
                 for k in range(g.n):
                     assert dm[i][j] <= dm[i][k] + dm[k][j]
 

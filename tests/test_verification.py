@@ -73,72 +73,49 @@ def test_exhaustive_n3_is_the_triangle():
     assert graphs[0].cycle == (0, 1, 2)
 
 
-def test_exhaustive_n4_families():
-    graphs = list(gen_exhaustive_unicyclic(4))
-    assert len(graphs) == 15
-    by_cycle_len = {}
-    for u in graphs:
-        by_cycle_len[u.k] = by_cycle_len.get(u.k, 0) + 1
-    assert by_cycle_len == {3: 12, 4: 3}
+def _unicyclic_graphs_by_edge_subsets(n: int) -> list[udim.Graph]:
+    """Every labeled unicyclic graph on n vertices: the connected graphs among
+    the n-edge subsets of K_n."""
+    graphs = []
+    for subset in combinations(combinations(range(n), 2), n):
+        g = graph_from_edges(n, subset)
+        if is_connected(g):
+            graphs.append(g)
+    return graphs
 
 
-def _unicyclic_count_by_edge_subsets(n: int) -> int:
-    all_edges = list(combinations(range(n), 2))
-    count = 0
-    for subset in combinations(all_edges, n):
-        try:
-            g = graph_from_edges(n, subset)
-        except UdimError:
-            continue
-        if is_connected(g) and g.edge_count == n:
-            count += 1
-    return count
+def _distance_certificate(g: udim.Graph) -> tuple:
+    return tuple(sorted(tuple(sorted(row)) for row in all_pairs_distances(g)))
 
 
-def test_exhaustive_n5_matches_edge_subset_bruteforce():
-    assert sum(1 for _ in gen_exhaustive_unicyclic(5)) == 222
-    assert _unicyclic_count_by_edge_subsets(5) == 222
-
-
-def test_exhaustive_stream_has_no_duplicates():
-    for n in (4, 5):
-        graphs = list(gen_exhaustive_unicyclic(n))
-        assert len({g.graph for g in graphs}) == len(graphs)
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_classes_match_edge_subset_bruteforce(n):
+    # Labeled unicyclic graphs, OEIS A057500; every one is isomorphic to
+    # exactly one class, and no two classes share a certificate.
+    brute = _unicyclic_graphs_by_edge_subsets(n)
+    assert len(brute) == {3: 1, 4: 15, 5: 222, 6: 3660}[n]
+    classes = [_distance_certificate(u.graph) for u in gen_exhaustive_unicyclic(n)]
+    assert len(set(classes)) == len(classes)
+    assert set(classes) == {_distance_certificate(g) for g in brute}
 
 
 def test_exhaustive_range_check():
-    # The range is checked at the call, not when the first graph is drawn.
-    with pytest.raises(UdimError):
-        gen_exhaustive_unicyclic(2)
-    gen_exhaustive_unicyclic(7)
-    with pytest.raises(UdimError):
-        gen_exhaustive_unicyclic(8)
-    with pytest.raises(UdimError):
-        gen_exhaustive_unicyclic(11)
-    with pytest.raises(UdimError):
-        gen_exhaustive_unicyclic(13, dedup=True)
-
-
-def _distance_certificate(u: udim.UnicyclicGraph) -> tuple:
-    dm = all_pairs_distances(u.graph)
-    return tuple(sorted(tuple(sorted(row)) for row in dm))
-
-
-def test_dedup_classes_match_certificate_dedup_of_labeled_stream():
-    for n in (4, 5, 6):
-        labeled = {_distance_certificate(u) for u in gen_exhaustive_unicyclic(n)}
-        classes = list(gen_exhaustive_unicyclic(n, dedup=True))
-        assert len(classes) == len(labeled)
-        assert {_distance_certificate(u) for u in classes} == labeled
+    # The range and the mode are checked at the call, before any graph is drawn.
+    gen_exhaustive_unicyclic(12)
+    for n in (2, 13):
+        with pytest.raises(UdimError, match=r"^exhaustive generation supports 3 <= n <= 12$"):
+            gen_exhaustive_unicyclic(n)
+    with pytest.raises(UdimError, match="isomorphism classes only"):
+        gen_exhaustive_unicyclic(5, dedup=False)
 
 
 def test_dedup_class_counts():
     # Connected unicyclic graphs on n unlabeled vertices, OEIS A001429.
     expected = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806, 12: 5026}
     for n, count in expected.items():
-        assert sum(1 for _ in gen_exhaustive_unicyclic(n, dedup=True)) == count
+        assert sum(1 for _ in gen_exhaustive_unicyclic(n)) == count
     with pytest.raises(UdimError, match=r"^exhaustive generation supports 3 <= n <= 12$"):
-        list(gen_exhaustive_unicyclic(13, dedup=True))
+        list(gen_exhaustive_unicyclic(13))
 
 
 # -- tree generation ---------------------------------------------------------------
