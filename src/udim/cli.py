@@ -281,6 +281,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.random is not None and args.random < 0:
         raise UdimError("--random must be non-negative")
     if args.exhaustive:
+        if args.n is not None or args.seed is not None:
+            raise UdimError("--n and --seed apply only to --random")
         lo, hi = _parse_range(args.exhaustive)
         families = [(n, gen_exhaustive_unicyclic(n)) for n in range(lo, hi + 1)]
         instances = (
@@ -291,15 +293,16 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         if args.n is None:
             raise UdimError("--random needs --n")
         hi = args.n
+        first = args.seed or 0
         instances = (
             (f"n{args.n}/seed{seed}", gen_random_unicyclic(args.n, seed=seed))
-            for seed in range(args.seed, args.seed + args.random)
+            for seed in range(first, first + args.random)
         )
         metadata = {
             "family": "random",
             "prng": RANDOM_SCHEME,
             "n": args.n,
-            "seed": args.seed,
+            "seed": first,
             "count": args.random,
         }
     else:
@@ -390,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="range A..B of vertex counts, one graph per class")
     family.add_argument("--random", type=int, help="number of random instances")
     p.add_argument("--n", type=int, help="vertex count for random instances")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="first seed of random instances (default 0)")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--pd-cap", type=int, default=DEFAULT_PD_CAP)

@@ -67,29 +67,22 @@ class CertifiedConstruction:
         }
 
 
-def _certify_set(
-    name: str, dm: DistanceMatrix, vertices: frozenset[int], bound: int
+def _certify(
+    name: str, dm: DistanceMatrix, payload: frozenset[int] | list[set[int]], bound: int
 ) -> CertifiedConstruction:
-    w = check_resolving_set(dm, vertices)
+    """Check a vertex set, or an ordered list of parts less its empty ones."""
+    if isinstance(payload, frozenset):
+        w = check_resolving_set(dm, payload)
+        size = len(payload)
+    else:
+        payload = OrderedPartition(parts=tuple(frozenset(p) for p in payload if p))
+        w = check_resolving_partition(dm, payload)
+        size = payload.t
     return CertifiedConstruction(
         name=name,
-        payload=vertices,
+        payload=payload,
         claimed_bound=bound,
-        verified=w.resolving and len(vertices) <= bound,
-        witness=w.twins,
-    )
-
-
-def _certify_partition(
-    name: str, dm: DistanceMatrix, parts: list[set[int]], bound: int
-) -> CertifiedConstruction:
-    partition = OrderedPartition(parts=tuple(frozenset(p) for p in parts if p))
-    w = check_resolving_partition(dm, partition)
-    return CertifiedConstruction(
-        name=name,
-        payload=partition,
-        claimed_bound=bound,
-        verified=w.resolving and partition.t <= bound,
+        verified=w.resolving and size <= bound,
         witness=w.twins,
     )
 
@@ -111,7 +104,7 @@ def pendant_resolving_set(u: UnicyclicGraph) -> CertifiedConstruction:
     dropped = {group[-1] for group in support_leaf_groups(g).values() if len(group) >= 2}
     chosen = frozenset(pendants - dropped)
     bound = len(pendants) - rho(g)
-    return _certify_set("pendant-set", g.distances, chosen, bound)
+    return _certify("pendant-set", g.distances, chosen, bound)
 
 
 def cycle_partition(u: UnicyclicGraph) -> CertifiedConstruction:
@@ -129,7 +122,7 @@ def cycle_partition(u: UnicyclicGraph) -> CertifiedConstruction:
         set(cyc[1 : n // 2 + 1]),
         set(cyc[n // 2 + 1 :]),
     ]
-    return _certify_partition("cycle-partition", u.graph.distances, parts, 3)
+    return _certify("cycle-partition", u.graph.distances, parts, 3)
 
 
 def _branch_sets(g, cycle: tuple[int, ...]) -> dict[int, set[int]]:
@@ -191,7 +184,7 @@ def unit_terminal_partition(u: UnicyclicGraph) -> CertifiedConstruction:
         b1 = w[0] | w[1]
         b2 = w[k // 2] | w[k // 2 + 1]
         parts = [b1, b2, set(range(g.n)) - b1 - b2]
-    return _certify_partition("unit-terminal", g.distances, parts, 3)
+    return _certify("unit-terminal", g.distances, parts, 3)
 
 
 def _pooled(groups: list, depth: int) -> list[set[int]]:
@@ -227,7 +220,7 @@ def kappa_tau_partition(u: UnicyclicGraph) -> CertifiedConstruction:
     v = min(c for c in g.adjacency[near] if c in set(u.cycle))
     parts = [{v}, set(u.cycle) - {v}, *_pooled([p.paths for p in profiles], tau - 1)]
     parts.append(set(range(g.n)).difference(*parts))
-    return _certify_partition("kappa-tau", dm, parts, kappa + tau + 1)
+    return _certify("kappa-tau", dm, parts, kappa + tau + 1)
 
 
 def xi_theta_partition(u: UnicyclicGraph) -> CertifiedConstruction:
@@ -251,7 +244,7 @@ def xi_theta_partition(u: UnicyclicGraph) -> CertifiedConstruction:
     xi, theta = xi_theta(tree.graph)
     pooled = _pooled([[{leaf} for leaf in groups[s]] for s in sorted(groups)], theta)
     parts = [set(range(g.n)).difference(*pooled), *pooled]
-    return _certify_partition("xi-theta", g.distances, parts, xi + theta)
+    return _certify("xi-theta", g.distances, parts, xi + theta)
 
 
 def lift_tree_partition(
@@ -283,7 +276,7 @@ def lift_tree_partition(
     parts = [set(p) - anchor_set for p in pi_t.parts]
     parts = [p for p in parts if p]
     parts.extend({c} for c in anchors)
-    return _certify_partition("lift", u.graph.distances, parts, pi_t.t + 3)
+    return _certify("lift", u.graph.distances, parts, pi_t.t + 3)
 
 
 # The bound-chain certificates, in report order: the ``construct`` name, the

@@ -68,7 +68,8 @@ def _walk_to_major(g: Graph, pendant: int, majors: frozenset[int]) -> list[int] 
 
     Returns the walked vertices (pendant first, major last), or None when the
     walk ends at another degree-1 vertex, i.e. the graph has no major on the
-    way (a path graph).
+    way (a path graph).  The walk never revisits a vertex: it passes only
+    degree-2 vertices, and the first one it came back to would be a major.
     """
     walk = [pendant]
     prev = -1
@@ -79,8 +80,6 @@ def _walk_to_major(g: Graph, pendant: int, majors: frozenset[int]) -> list[int] 
             return None
         prev, cur = cur, nxts[0]
         walk.append(cur)
-        if len(walk) > g.n:
-            return None
     return walk
 
 

@@ -9,11 +9,16 @@ invariant under reordering blocks), in lexicographic order, and the first
 resolving one is the witness.  Both walk their prefixes depth-first on an
 explicit stack: the dim search carries each subset prefix's AND of tie
 bitmasks down the walk, the pd search hands each string prefix's tails to a
-vectorized evaluator.  The pd search never builds a partition that
-puts two distance twins (a pair only its own two vertices separate) in one
-part: such a pair is tied on every part.  This is a distance identity, not
-one of the bounds the verification suite checks, so pruning with it keeps
-those checks independent of the solver.
+vectorized evaluator.
+
+The twin rule: the pd search never builds a partition that puts two
+distance twins (a pair only its own two vertices separate) in one part.
+Twins have equal distances to every other vertex, so a part holding both is
+at distance 0 from each and every other part at equal distances: such a
+pair is tied on every part.  Only non-resolving strings are skipped, so the
+witness is the one found without the rule.  This is a distance identity,
+not one of the bounds the verification suite checks, so pruning with it
+keeps those checks independent of the solver.
 """
 
 from __future__ import annotations
@@ -236,8 +241,8 @@ def _pd_lower_bound(dist: np.ndarray) -> tuple[int, list[tuple[int, int]]]:
     np.triu_indices order, that it rests on.  Twins are pairs that only their
     own two vertices separate; in a connected graph these are exactly the
     pairs with equal open or equal closed neighbourhoods, found here by
-    hashing the rows of the adjacency matrix.  No part may hold two twins,
-    so the largest twin class forces that many parts."""
+    hashing the rows of the adjacency matrix.  By the twin rule (module
+    docstring) the largest twin class forces that many parts."""
     n = len(dist)
     adjacent = dist == 1
     # Per neighbourhood kind, each vertex labelled by the first vertex whose
@@ -258,24 +263,20 @@ def _pd_lower_bound(dist: np.ndarray) -> tuple[int, list[tuple[int, int]]]:
 def _completions(s: int, mx: int, t: int) -> np.ndarray:
     """Every length-s tail that takes an RGS prefix with maximum label mx to
     exactly t blocks, in lexicographic order (read-only, cached, in the
-    smallest unsigned dtype that holds t - 1).  Built column by column: each
-    row branches into the labels 0..min(mx+1, t-1), and rows that can no
-    longer reach t blocks in the positions left are dropped.
+    smallest unsigned dtype that holds t - 1): each first label v in
+    0..min(mx+1, t-1), followed by every tail of the s - 1 positions after it.
     """
     label = np.min_scalar_type(t - 1)
-    arr = np.zeros((1, 0), dtype=label)
-    top = np.full(1, mx, dtype=np.int64)
-    for i in range(s):
-        opts = np.minimum(top + 2, t)
-        rep = np.repeat(np.arange(arr.shape[0]), opts)
-        vals = np.arange(rep.size) - np.repeat(np.cumsum(opts) - opts, opts)
-        new_top = np.maximum(top[rep], vals)
-        keep = (t - 1 - new_top) <= s - 1 - i
-        arr = np.concatenate([arr[rep[keep]], vals[keep, None].astype(label)], axis=1)
-        top = new_top[keep]
-    arr = arr[top == t - 1]
-    arr.flags.writeable = False
-    return arr
+    if s == 0:
+        tails = np.zeros((int(mx == t - 1), 0), dtype=label)
+    else:
+        heads = []
+        for v in range(min(mx + 1, t - 1) + 1):
+            rest = _completions(s - 1, max(mx, v), t)
+            heads.append(np.column_stack((np.full(len(rest), v, dtype=label), rest)))
+        tails = np.concatenate(heads)
+    tails.flags.writeable = False
+    return tails
 
 
 def _rgs_blocks(n: int, t: int, twins: Sequence[tuple[int, int]]) -> Iterator[np.ndarray]:
@@ -358,13 +359,7 @@ def partition_dimension_exact(
     For each t the restricted-growth strings with exactly t blocks stream in
     lexicographic order through the pairwise-tie evaluator; the first
     resolving one is returned, with parts ordered by smallest element.  The
-    stream skips every string that gives two distance twins one block: twins
-    u, v have equal distances to every other vertex, so any part holding
-    both is at distance 0 from each and every other part at equal distances,
-    and the string cannot resolve.  Only non-resolving strings are skipped,
-    so the witness is the same as without the skip.  The rule is a property
-    of the distance matrix, not a bound of the paper, so the bound checks
-    stay independent of it.
+    stream skips the strings the twin rule (module docstring) excludes.
     """
     n = len(dm)
     check_cap(n, cap, "partition-dimension")

@@ -99,22 +99,20 @@ def gen_random_unicyclic(n: int, seed: int) -> UnicyclicGraph:
     rest = list(range(k, n))
     while True:
         parent = {w: rng.randrange(n) for w in rest}
-        ok = True
-        for w in rest:
-            cur = parent[w]
-            steps = 0
-            while cur >= k:
-                cur = parent[cur]
-                steps += 1
-                if steps > n:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(_reaches_cycle(parent, w, k) for w in rest):
             break
     edges.extend((w, p) for w, p in parent.items())
     return validate_unicyclic(graph_from_edges(n, edges))
+
+
+def _reaches_cycle(parent: dict[int, int], w: int, k: int) -> bool:
+    """Whether the parent chain from w reaches a cycle vertex (a label below
+    k) rather than looping among the forest vertices."""
+    for _ in range(len(parent) + 1):
+        if w < k:
+            return True
+        w = parent[w]
+    return False
 
 
 def gen_exhaustive_unicyclic(n: int, *, dedup: bool = True) -> Iterator[UnicyclicGraph]:
@@ -163,19 +161,15 @@ def _child_multisets(total: int, bound: tuple[int, Code] | None) -> Iterator[Cod
 
 def _decoration_tuples(n: int, k: int) -> Iterator[tuple[Code, ...]]:
     """All k-tuples of rooted trees with total size n (sizes >= 1 each)."""
-
-    def rec(pos: int, remaining: int) -> Iterator[tuple[Code, ...]]:
-        if pos == k:
-            if remaining == 0:
-                yield ()
-            return
-        slots_left = k - pos - 1
-        for size in range(1, remaining - slots_left + 1):
-            for code in _rooted_trees(size):
-                for rest in rec(pos + 1, remaining - size):
-                    yield ((code,) + rest)
-
-    yield from rec(0, n)
+    if k == 0:
+        if n == 0:
+            yield ()
+        return
+    # The first tree leaves at least one vertex for each of the k - 1 others.
+    for size in range(1, n - k + 2):
+        for code in _rooted_trees(size):
+            for rest in _decoration_tuples(n - size, k - 1):
+                yield (code,) + rest
 
 
 def _bracelet_canonical(tup: tuple[Code, ...]) -> tuple[Code, ...]:
@@ -673,29 +667,29 @@ def conjecture_scan(
     usable = getattr(os, "sched_getaffinity", None)
     jobs = min(jobs, len(usable(0)) if usable else os.cpu_count() or 1)
     scan = partial(_scan_one, pd_cap=pd_cap)
-    _TREE_PD.clear()
-    try:
-        scanned = _map_in_workers(jobs, scan, instances) if jobs > 1 else map(scan, instances)
-        records = list(scanned)
-    finally:
-        _TREE_PD.clear()
-
+    records = []
     histogram: dict[int, int] = {}
     conjecture = []
     proposition = []
-    for rec in records:
-        for entry in rec.trees:
-            gap = rec.pd - entry.pd
-            histogram[gap] = histogram.get(gap, 0) + 1
-            if gap >= 2:
-                item = {
-                    "instance": rec.instance,
-                    "deleted_edge": list(entry.deleted_edge),
-                    "gap": gap,
-                }
-                conjecture.append(item)
-                if gap >= 4:
-                    proposition.append(item)
+    _TREE_PD.clear()
+    try:
+        scanned = _map_in_workers(jobs, scan, instances) if jobs > 1 else map(scan, instances)
+        for rec in scanned:
+            records.append(rec)
+            for entry in rec.trees:
+                gap = rec.pd - entry.pd
+                histogram[gap] = histogram.get(gap, 0) + 1
+                if gap >= 2:
+                    item = {
+                        "instance": rec.instance,
+                        "deleted_edge": list(entry.deleted_edge),
+                        "gap": gap,
+                    }
+                    conjecture.append(item)
+                    if gap >= 4:
+                        proposition.append(item)
+    finally:
+        _TREE_PD.clear()
     return ScanResult(
         records=tuple(records),
         gap_histogram=histogram,

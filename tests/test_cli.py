@@ -240,6 +240,15 @@ def test_scan_families_are_exclusive(capsys):
     assert capsys.readouterr().err == (
         "error: scan needs --exhaustive A..B or --random N --n K\n"
     )
+    # --n and --seed choose random instances; an exhaustive scan reads neither.
+    for extra in (["--n", "9"], ["--seed", "5"], ["--n", "9", "--seed", "5"]):
+        argv = ["scan", "--exhaustive", "3..4", *extra, "--format", "json"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --n and --seed apply only to --random\n"
+    assert main(["scan", "--random", "2", "--n", "5", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["metadata"]["seed"] == 0
 
 
 def test_scan_range_is_checked_before_any_pd_solve(monkeypatch, capsys):

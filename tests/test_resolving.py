@@ -33,6 +33,7 @@ from udim import resolve
 from udim.resolve import (
     _BLOCK,
     DEFAULT_PD_CAP,
+    _completions,
     _landmark_ties,
     _pd_lower_bound,
     _rgs_blocks,
@@ -374,6 +375,36 @@ def _rgs_by_filtering(n, t):
         firsts = [labels.index(b) for b in range(t) if b in labels]
         if len(firsts) == t and firsts == sorted(firsts):
             yield labels
+
+
+def _tails_by_filtering(s, mx, t):
+    # After a prefix whose largest label is mx, each label is at most one above
+    # every label before it, and the tail must reach label t - 1.
+    for tail in product(range(t), repeat=s):
+        top = mx
+        for label in tail:
+            if label > top + 1:
+                break
+            top = max(top, label)
+        else:
+            if top == t - 1:
+                yield tail
+
+
+def test_completions_are_every_tail_in_lex_order():
+    # Every table the pd search asks for up to DEFAULT_PD_CAP vertices: s < n
+    # positions left, t**s <= _BLOCK rows at most, any largest prefix label.
+    for t in range(1, DEFAULT_PD_CAP + 1):
+        for s in range(DEFAULT_PD_CAP):
+            if t**s > _BLOCK:
+                continue
+            for mx in range(t):
+                tails = _completions(s, mx, t)
+                expected = list(_tails_by_filtering(s, mx, t))
+                assert tails.dtype == np.uint8
+                assert not tails.flags.writeable
+                assert tails.shape == (len(expected), s)
+                assert [tuple(row) for row in tails.tolist()] == expected
 
 
 @pytest.mark.parametrize("block_rows", [8, _BLOCK])

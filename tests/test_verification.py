@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import weakref
 from concurrent.futures import Executor
@@ -32,6 +33,7 @@ from udim import (
     metric_dimension_exact,
     pendant_vertices,
     rho,
+    to_edge_list,
     tree_report,
 )
 from udim.verification import _free_code
@@ -173,6 +175,28 @@ def test_random_unicyclic_smallest_case():
 
 def test_random_scheme_is_named():
     assert "mt19937" in udim.RANDOM_SCHEME
+
+
+# SHA-256 over the edge lists of both generators' streams.  RANDOM_SCHEME
+# promises that a seed gives the same graph in every build, and scan instance
+# ids (n10#5, n12/seed3) name positions in these streams, so a change to
+# either stream is a change of every scan's output.
+CLASS_STREAM_SHA256 = "216e05e9c74f4943763bf9636d705dd7fb23af44be0117c113af51d276cd71c7"
+RANDOM_STREAM_SHA256 = "8bc75c39a527ccd33637f162fb001267d7408e4ec9260881d2ca70b92edb562a"
+
+
+def _stream_sha256(graphs):
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(to_edge_list(g).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_generator_streams_are_pinned():
+    classes = (u.graph for n in range(3, 11) for u in gen_exhaustive_unicyclic(n))
+    assert _stream_sha256(classes) == CLASS_STREAM_SHA256
+    randoms = (gen_random_unicyclic(3 + s % 18, s).graph for s in range(500))
+    assert _stream_sha256(randoms) == RANDOM_STREAM_SHA256
 
 
 # -- bounds reports -----------------------------------------------------------------
