@@ -268,13 +268,8 @@ def lift_tree_partition(
         )
     cyc = _cycle_from(u.cycle, *tree.deleted_edge)
     k = len(cyc)
-    anchors: list[int] = []
-    for c in (cyc[0], cyc[1], cyc[k // 2]):
-        if c not in anchors:
-            anchors.append(c)
-    anchor_set = set(anchors)
-    parts = [set(p) - anchor_set for p in pi_t.parts]
-    parts = [p for p in parts if p]
+    anchors = list(dict.fromkeys((cyc[0], cyc[1], cyc[k // 2])))
+    parts = [set(p).difference(anchors) for p in pi_t.parts]
     parts.extend({c} for c in anchors)
     return _certify("lift", u.graph.distances, parts, pi_t.t + 3)
 

@@ -142,21 +142,23 @@ def to_edge_list(g: Graph) -> str:
     return "".join(f"{u} {v}\n" for u, v in g.edges())
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    seen = bytearray(g.n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
+def _bfs(g: Graph, s: int) -> list[int]:
+    """Hop distances from s to every vertex, -1 for those s does not reach."""
+    dist = [-1] * g.n
+    dist[s] = 0
+    queue = deque([s])
     while queue:
         u = queue.popleft()
+        du = dist[u]
         for v in g.adjacency[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
+            if dist[v] < 0:
+                dist[v] = du + 1
                 queue.append(v)
-    return count == g.n
+    return dist
+
+
+def is_connected(g: Graph) -> bool:
+    return g.n > 0 and -1 not in _bfs(g, 0)
 
 
 def is_tree(g: Graph) -> bool:
@@ -168,19 +170,9 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
 
     Raises DisconnectedGraphError if any pair is unreachable.
     """
-    n = g.n
     rows: list[tuple[int, ...]] = []
-    for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            for v in g.adjacency[u]:
-                if dist[v] < 0:
-                    dist[v] = du + 1
-                    queue.append(v)
+    for s in range(g.n):
+        dist = _bfs(g, s)
         if -1 in dist:
             raise DisconnectedGraphError(
                 f"vertex {dist.index(-1)} is unreachable from vertex {s}"

@@ -6,10 +6,12 @@ solvers decide one rule, stated once in ``_ties``: landmarks or parts resolve
 the graph iff no vertex pair u < v is tied on every coordinate of r(.).  They
 try landmark subsets, or partitions as restricted-growth strings (the rule is
 invariant under reordering blocks), in lexicographic order, and the first
-resolving one is the witness.  Both walk their prefixes depth-first on an
-explicit stack: the dim search carries each subset prefix's AND of tie
-bitmasks down the walk, the pd search hands each string prefix's tails to a
-vectorized evaluator.
+resolving one is the witness.  Both walk their prefixes depth-first.  The
+dim search recurses, one level per landmark, carrying each subset prefix's
+AND of tie bitmasks down the walk.  The pd search keeps an explicit stack,
+because a string is as deep as the graph has vertices (1,099 for a path at
+``--pd-cap 1100``), and hands each string prefix's tails to a vectorized
+evaluator.
 
 The twin rule: the pd search never builds a partition that puts two
 distance twins (a pair only its own two vertices separate) in one part.
@@ -36,8 +38,9 @@ DEFAULT_DIM_CAP = 16
 DEFAULT_PD_CAP = 12
 
 # Rows per block of restricted-growth strings handed to the evaluator (fewer
-# above DEFAULT_PD_CAP, see _row_limit); it bounds the solvers' working
-# memory whatever the number of partitions.
+# above DEFAULT_PD_CAP, see _row_limit); each block is one prefix's tails, at
+# most this many rows, which bounds the solvers' working memory whatever the
+# number of partitions.
 _BLOCK = 1024
 _SENTINEL = np.int16(32000)
 
@@ -112,6 +115,10 @@ def set_representation(
     dm: DistanceMatrix, landmarks: Sequence[int], v: int
 ) -> tuple[int, ...]:
     """The vector of distances from v to each landmark, in the given order."""
+    n = len(dm)
+    for u in (v, *landmarks):
+        if not 0 <= u < n:
+            raise InvalidPartitionError(f"vertex {u} outside 0..{n - 1}")
     row = dm[v]
     return tuple(row[u] for u in landmarks)
 
@@ -178,29 +185,24 @@ def _landmark_ties(dist: np.ndarray) -> Iterator[np.ndarray]:
         yield _ties(dist[i : i + step])
 
 
-def _first_zero_and(masks: Sequence[int], m: int) -> tuple[int, ...] | None:
-    """The lexicographically first m-subset of indices whose ints AND to 0.
+def _first_zero_and(
+    masks: Sequence[int], m: int, start: int = 0, acc: int = -1
+) -> tuple[int, ...] | None:
+    """The lexicographically first m-subset of the indices start.. whose ints,
+    ANDed with acc, give 0.
 
-    Depth-first over subset prefixes on an explicit stack, children pushed in
-    reverse so they pop in lex order.  An entry (fixed, w, acc) puts w at
-    position fixed - 1 and carries the AND of its ancestors' ints, so each
-    prefix costs one AND; the last position is tried inline against the
-    prefix's AND.
+    Plain recursion over subset prefixes, one level per position, each call
+    carrying its prefix's AND, so a subset costs one AND beyond its prefix's.
+    The depth is m, which the dim search asks for only after every smaller
+    size failed, so no search that can finish nears the recursion limit.
     """
-    n = len(masks)
-    prefix = [0] * m
-    stack = [(1, w, -1) for w in reversed(range(n - m + 1))]
-    while stack:
-        fixed, w, acc = stack.pop()
-        prefix[fixed - 1] = w
-        acc &= masks[w]
-        if fixed == m - 1:
-            for last in range(w + 1, n):
-                if not acc & masks[last]:
-                    return (*prefix[:fixed], last)
-            continue
-        # A child leaves room after it for the m - fixed - 1 positions left.
-        stack.extend((fixed + 1, x, acc) for x in reversed(range(w + 1, n - m + fixed + 1)))
+    if m == 1:
+        return next(((w,) for w in range(start, len(masks)) if not acc & masks[w]), None)
+    # Each index leaves room after it for the m - 1 positions left.
+    for w in range(start, len(masks) - m + 1):
+        rest = _first_zero_and(masks, m - 1, w + 1, acc & masks[w])
+        if rest is not None:
+            return (w, *rest)
     return None
 
 
@@ -282,59 +284,47 @@ def _completions(s: int, mx: int, t: int) -> np.ndarray:
 def _rgs_blocks(n: int, t: int, twins: Sequence[tuple[int, int]]) -> Iterator[np.ndarray]:
     """Every restricted-growth string of length n with exactly t blocks that
     gives no pair (u, v), u < v, of twins one label, in lexicographic order,
-    as arrays of at most _row_limit(n) rows.
+    as one block per prefix.
 
     Prefix positions are fixed one at a time, skipping the labels an earlier
     twin partner holds, until the t**s bound on the tails of the s positions
-    left is within the limit; each prefix with its cached completions, less
-    the rows that give twins one label, is one piece.  Pieces are packed into
-    blocks up to the limit and up to the rows already yielded, so a search
-    that stops early evaluates at most twice the rows it needed plus one
-    piece.
+    left is within _row_limit(n); that prefix with its cached completions,
+    less the rows that give twins one label, is one block, unless no row is
+    left.  So a block holds at most _row_limit(n) rows, and a search that
+    stops early evaluates no block past the one that holds its witness.
+
+    The walk is depth-first on an explicit stack, children pushed in reverse
+    so they pop in lex order: a path at ``--pd-cap 1100`` fixes 1,099
+    positions, deeper than Python's recursion limit.  An entry (fixed, mx,
+    val) puts val at position fixed - 1, after its ancestors' values.
     """
     limit = _row_limit(n)
     earlier: list[list[int]] = [[] for _ in range(n)]
     for u, v in twins:
         earlier[v].append(u)
     tu, tv = np.array(twins, dtype=np.intp).reshape(-1, 2).T
-
-    def pieces() -> Iterator[np.ndarray]:
-        # Depth-first over prefixes on an explicit stack, children pushed in
-        # reverse so they pop in lex order.  An entry (fixed, mx, val) puts
-        # val at position fixed - 1, after its ancestors' values.
-        prefix = [0] * n
-        stack = [(1, 0, 0)]
-        while stack:
-            fixed, mx, val = stack.pop()
-            prefix[fixed - 1] = val
-            s = n - fixed
-            if t**s <= limit:
-                tails = _completions(s, mx, t)
-                piece = np.empty((tails.shape[0], n), dtype=tails.dtype)
-                piece[:, :fixed] = prefix[:fixed]
-                piece[:, fixed:] = tails
-                if tu.size:
-                    piece = piece[(piece[:, tu] != piece[:, tv]).all(axis=1)]
-                if piece.shape[0]:
-                    yield piece
-                continue
-            # A child must leave its s - 1 positions enough to reach t blocks,
-            # max(mx, nxt) >= t - s, and take no label of an earlier twin.
-            banned = {prefix[u] for u in earlier[fixed]}
-            for nxt in reversed(range(0 if mx >= t - s else t - s, min(mx + 1, t - 1) + 1)):
-                if nxt not in banned:
-                    stack.append((fixed + 1, max(mx, nxt), nxt))
-
-    pending: list[np.ndarray] = []
-    rows = done = 0
-    for piece in pieces():
-        if pending and (rows + piece.shape[0] > limit or rows > done):
-            yield np.concatenate(pending)
-            pending, rows, done = [], 0, done + rows
-        pending.append(piece)
-        rows += piece.shape[0]
-    if pending:
-        yield np.concatenate(pending)
+    prefix = [0] * n
+    stack = [(1, 0, 0)]
+    while stack:
+        fixed, mx, val = stack.pop()
+        prefix[fixed - 1] = val
+        s = n - fixed
+        if t**s <= limit:
+            tails = _completions(s, mx, t)
+            block = np.empty((tails.shape[0], n), dtype=tails.dtype)
+            block[:, :fixed] = prefix[:fixed]
+            block[:, fixed:] = tails
+            if tu.size:
+                block = block[(block[:, tu] != block[:, tv]).all(axis=1)]
+            if block.shape[0]:
+                yield block
+            continue
+        # A child must leave its s - 1 positions enough to reach t blocks,
+        # max(mx, nxt) >= t - s, and take no label of an earlier twin.
+        banned = {prefix[u] for u in earlier[fixed]}
+        for nxt in reversed(range(0 if mx >= t - s else t - s, min(mx + 1, t - 1) + 1)):
+            if nxt not in banned:
+                stack.append((fixed + 1, max(mx, nxt), nxt))
 
 
 def _eval_block(block: np.ndarray, dist: np.ndarray, t: int) -> int:

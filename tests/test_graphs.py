@@ -122,8 +122,11 @@ def test_c4k_pendant_to_far_cycle_vertex():
 
 def test_disconnected_distances_error():
     g = graph_from_edges(4, [(0, 1), (2, 3)])
-    with pytest.raises(DisconnectedGraphError):
+    with pytest.raises(DisconnectedGraphError, match="vertex 2 is unreachable from vertex 0"):
         all_pairs_distances(g)
+    assert not udim.is_connected(g)
+    assert not udim.is_connected(udim.Graph(0, ()))
+    assert udim.is_connected(udim.Graph(1, ((),)))
 
 
 def _floyd_warshall(g: udim.Graph) -> list[list[int]]:

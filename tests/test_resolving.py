@@ -73,6 +73,10 @@ def test_partition_representation_on_path():
 def test_set_representation():
     dm = all_pairs_distances(gen_path(4))
     assert set_representation(dm, (0, 3), 1) == (1, 2)
+    # Ids outside 0..3 are rejected, not wrapped or left to a bare IndexError.
+    for landmarks, v in (([-1], 0), ([3], -1), ([4], 0), ([0], 4)):
+        with pytest.raises(InvalidPartitionError, match="outside 0..3"):
+            set_representation(dm, landmarks, v)
 
 
 # -- checkers ----------------------------------------------------------------
@@ -414,6 +418,10 @@ def test_rgs_blocks_stream_every_rgs_in_lex_order(n, block_rows, monkeypatch):
     for t in range(1, n + 1):
         blocks = list(_rgs_blocks(n, t, ()))
         assert all(len(b) <= block_rows for b in blocks)
+        # One block per prefix: the first n - s positions, s the most whose
+        # t**s tails fit the row limit, are shared within each block.
+        s = max(s for s in range(n) if t**s <= resolve._row_limit(n))
+        assert all((b[:, : n - s] == b[0, : n - s]).all() for b in blocks)
         streamed = [tuple(int(x) for x in row) for b in blocks for row in b]
         assert streamed == list(_rgs_by_filtering(n, t))
 
