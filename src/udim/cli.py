@@ -292,6 +292,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     elif args.random is not None:
         if args.n is None:
             raise UdimError("--random needs --n")
+        if args.n < 3:
+            raise UdimError("--n must be at least 3")
         hi = args.n
         first = args.seed or 0
         instances = (

@@ -13,14 +13,16 @@ because a string is as deep as the graph has vertices (1,099 for a path at
 ``--pd-cap 1100``), and hands each string prefix's tails to a vectorized
 evaluator.
 
-The twin rule: the pd search never builds a partition that puts two
-distance twins (a pair only its own two vertices separate) in one part.
-Twins have equal distances to every other vertex, so a part holding both is
-at distance 0 from each and every other part at equal distances: such a
-pair is tied on every part.  Only non-resolving strings are skipped, so the
-witness is the one found without the rule.  This is a distance identity,
-not one of the bounds the verification suite checks, so pruning with it
-keeps those checks independent of the solver.
+The twin order: the pd search builds only partitions whose labels strictly
+increase along each class of distance twins (pairs only their own two
+vertices separate).  No vertex has twins of both kinds: N(u) = N(v) and
+N[v] = N[w] put w in N(u), so u in N[w] = N[v], so v in N(u) = N(v).  So a
+chain of previous twins orders each class.  Swapping twins u < v is an
+automorphism; if a resolving r has r[u] > r[v], then r[v] occurs before u,
+and the swap, relabelled by first occurrence, resolves and is smaller at u.
+So the lex-first resolving string keeps the order: the witness is the one
+found without it.  This is an automorphism identity, not a bound the
+verification suite checks, so pruning with it keeps them independent.
 """
 
 from __future__ import annotations
@@ -238,27 +240,25 @@ def metric_dimension_exact(
 # -- exact partition dimension -------------------------------------------------
 
 
-def _pd_lower_bound(dist: np.ndarray) -> tuple[int, list[tuple[int, int]]]:
-    """Sound lower bound on pd, with the distance twins (u, v), u < v, in
-    np.triu_indices order, that it rests on.  Twins are pairs that only their
-    own two vertices separate; in a connected graph these are exactly the
-    pairs with equal open or equal closed neighbourhoods, found here by
-    hashing the rows of the adjacency matrix.  By the twin rule (module
-    docstring) the largest twin class forces that many parts."""
+def _pd_lower_bound(dist: np.ndarray) -> tuple[int, list[int]]:
+    """Sound lower bound on pd, with each vertex's previous twin (the largest
+    twin below it, or -1).  In a connected graph twins are the vertices with
+    equal open or equal closed neighbourhoods, found by hashing the rows of
+    the adjacency matrix.  A twin class needs one part per vertex, so the
+    longest chain of previous twins forces that many parts."""
     n = len(dist)
     adjacent = dist == 1
-    # Per neighbourhood kind, each vertex labelled by the first vertex whose
-    # row equals its own.
-    labels = []
+    prev = [-1] * n
     for nb in (adjacent, adjacent | np.eye(n, dtype=bool)):
-        first: dict[bytes, int] = {}
-        labels.append(np.array([first.setdefault(row.tobytes(), v) for v, row in enumerate(nb)]))
-    largest = max(int(np.bincount(label).max()) for label in labels)
-    if largest == 1:
-        return 2, []
-    us, vs = _pairs(n)
-    twin = (labels[0][us] == labels[0][vs]) | (labels[1][us] == labels[1][vs])
-    return largest, list(zip(us[twin].tolist(), vs[twin].tolist()))
+        last: dict[bytes, int] = {}
+        for v, row in enumerate(nb):
+            key = row.tobytes()
+            prev[v] = last.get(key, prev[v])
+            last[key] = v
+    chain: list[int] = []
+    for u in prev:
+        chain.append(chain[u] + 1 if u >= 0 else 1)
+    return max(2, *chain), prev
 
 
 @lru_cache(maxsize=None)
@@ -281,17 +281,17 @@ def _completions(s: int, mx: int, t: int) -> np.ndarray:
     return tails
 
 
-def _rgs_blocks(n: int, t: int, twins: Sequence[tuple[int, int]]) -> Iterator[np.ndarray]:
-    """Every restricted-growth string of length n with exactly t blocks that
-    gives no pair (u, v), u < v, of twins one label, in lexicographic order,
-    as one block per prefix.
+def _rgs_blocks(n: int, t: int, prev: Sequence[int]) -> Iterator[np.ndarray]:
+    """Every restricted-growth string of length n with exactly t blocks whose
+    labels keep the twin order, r[prev[v]] < r[v] wherever prev[v] >= 0, in
+    lexicographic order, as one block per prefix.
 
-    Prefix positions are fixed one at a time, skipping the labels an earlier
-    twin partner holds, until the t**s bound on the tails of the s positions
-    left is within _row_limit(n); that prefix with its cached completions,
-    less the rows that give twins one label, is one block, unless no row is
-    left.  So a block holds at most _row_limit(n) rows, and a search that
-    stops early evaluates no block past the one that holds its witness.
+    Prefix positions are fixed one at a time, each above its previous twin's
+    label, until the t**s bound on the tails of the s positions left is
+    within _row_limit(n); that prefix with its cached completions, less the
+    rows that break the twin order, is one block, unless no row is left.  So
+    a block holds at most _row_limit(n) rows, and a search that stops early
+    evaluates no block past the one that holds its witness.
 
     The walk is depth-first on an explicit stack, children pushed in reverse
     so they pop in lex order: a path at ``--pd-cap 1100`` fixes 1,099
@@ -299,10 +299,8 @@ def _rgs_blocks(n: int, t: int, twins: Sequence[tuple[int, int]]) -> Iterator[np
     val) puts val at position fixed - 1, after its ancestors' values.
     """
     limit = _row_limit(n)
-    earlier: list[list[int]] = [[] for _ in range(n)]
-    for u, v in twins:
-        earlier[v].append(u)
-    tu, tv = np.array(twins, dtype=np.intp).reshape(-1, 2).T
+    tv = np.flatnonzero(np.array(prev, dtype=np.intp) >= 0)
+    tu = np.array(prev, dtype=np.intp)[tv]
     prefix = [0] * n
     stack = [(1, 0, 0)]
     while stack:
@@ -314,17 +312,17 @@ def _rgs_blocks(n: int, t: int, twins: Sequence[tuple[int, int]]) -> Iterator[np
             block = np.empty((tails.shape[0], n), dtype=tails.dtype)
             block[:, :fixed] = prefix[:fixed]
             block[:, fixed:] = tails
-            if tu.size:
-                block = block[(block[:, tu] != block[:, tv]).all(axis=1)]
+            if tv.size:
+                block = block[(block[:, tu] < block[:, tv]).all(axis=1)]
             if block.shape[0]:
                 yield block
             continue
         # A child must leave its s - 1 positions enough to reach t blocks,
-        # max(mx, nxt) >= t - s, and take no label of an earlier twin.
-        banned = {prefix[u] for u in earlier[fixed]}
-        for nxt in reversed(range(0 if mx >= t - s else t - s, min(mx + 1, t - 1) + 1)):
-            if nxt not in banned:
-                stack.append((fixed + 1, max(mx, nxt), nxt))
+        # max(mx, nxt) >= t - s, and take a label above its previous twin's.
+        u = prev[fixed]
+        low = max(t - s if mx < t - s else 0, prefix[u] + 1 if u >= 0 else 0)
+        for nxt in reversed(range(low, min(mx + 1, t - 1) + 1)):
+            stack.append((fixed + 1, max(mx, nxt), nxt))
 
 
 def _eval_block(block: np.ndarray, dist: np.ndarray, t: int) -> int:
@@ -349,16 +347,16 @@ def partition_dimension_exact(
     For each t the restricted-growth strings with exactly t blocks stream in
     lexicographic order through the pairwise-tie evaluator; the first
     resolving one is returned, with parts ordered by smallest element.  The
-    stream skips the strings the twin rule (module docstring) excludes.
+    stream skips the strings that break the twin order (module docstring).
     """
     n = len(dm)
     check_cap(n, cap, "partition-dimension")
     if n == 1:
         return (1, OrderedPartition(parts=(frozenset({0}),)))
     dist = np.array(dm, dtype=np.int16)
-    bound, twins = _pd_lower_bound(dist)
+    bound, prev = _pd_lower_bound(dist)
     for t in range(max(bound, start), n + 1):
-        for block in _rgs_blocks(n, t, twins):
+        for block in _rgs_blocks(n, t, prev):
             idx = _eval_block(block, dist, t)
             if idx >= 0:
                 parts = [frozenset(np.flatnonzero(block[idx] == j).tolist()) for j in range(t)]

@@ -285,6 +285,12 @@ def test_scan_random_pd_cap_is_checked_before_any_graph(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: n=100000 exceeds the partition-dimension cap 12\n"
+        # No unicyclic graph has fewer than 3 vertices.
+        for n in ("2", "-5"):
+            assert main(["scan", "--random", count, "--n", n]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: --n must be at least 3\n"
 
 
 def test_scan_rejects_a_negative_random_count(capsys):

@@ -208,6 +208,14 @@ def _twin_bound_by_neighbourhoods(dm) -> tuple[int, list[tuple[int, int]]]:
     return bound, pairs
 
 
+def _previous_twins(n, pairs) -> list[int]:
+    # For each v, the largest u paired with v, or -1.
+    prev = [-1] * n
+    for u, v in pairs:
+        prev[v] = max(prev[v], u)
+    return prev
+
+
 def _pd_by_function_enumeration(dm) -> tuple[int, list[list[int]]]:
     # Independent oracle: enumerate all onto block-labelings (not RGS based).
     # The first resolving labeling in lex order is a restricted-growth string,
@@ -271,14 +279,16 @@ def test_twin_bound_matches_the_neighbourhood_classes(unicyclic_classes):
         for u in unicyclic_classes[n]:
             for g in [u.graph] + [tree.graph for tree in spanning_trees(u)]:
                 dm = all_pairs_distances(g)
-                expected = _twin_bound_by_neighbourhoods(dm)
+                bound, pairs = _twin_bound_by_neighbourhoods(dm)
+                expected = (bound, _previous_twins(g.n, pairs))
                 assert _pd_lower_bound(np.array(dm, dtype=np.int16)) == expected
 
 
 @given(connected_graphs())
 def test_twin_bound_matches_the_neighbourhood_classes_on_random_graphs(g):
     dm = all_pairs_distances(g)
-    expected = _twin_bound_by_neighbourhoods(dm)
+    bound, pairs = _twin_bound_by_neighbourhoods(dm)
+    expected = (bound, _previous_twins(g.n, pairs))
     assert _pd_lower_bound(np.array(dm, dtype=np.int16)) == expected
 
 
@@ -416,7 +426,7 @@ def test_completions_are_every_tail_in_lex_order():
 def test_rgs_blocks_stream_every_rgs_in_lex_order(n, block_rows, monkeypatch):
     monkeypatch.setattr(resolve, "_BLOCK", block_rows)
     for t in range(1, n + 1):
-        blocks = list(_rgs_blocks(n, t, ()))
+        blocks = list(_rgs_blocks(n, t, [-1] * n))
         assert all(len(b) <= block_rows for b in blocks)
         # One block per prefix: the first n - s positions, s the most whose
         # t**s tails fit the row limit, are shared within each block.
@@ -427,34 +437,56 @@ def test_rgs_blocks_stream_every_rgs_in_lex_order(n, block_rows, monkeypatch):
 
 
 @pytest.mark.parametrize("block_rows", [8, _BLOCK])
-def test_rgs_blocks_skip_every_rgs_that_gives_twins_one_label(
+def test_rgs_blocks_stream_only_rgs_that_keep_the_twin_order(
     block_rows, monkeypatch, unicyclic_classes, tree_classes
 ):
-    # The twin sets are those of every tree and unicyclic class; the star
+    # The twin pairs are the oracle's, of every tree and unicyclic class, and
+    # every pair, not only each vertex's previous twin, must increase; the star
     # K_{1,n-1} has n - 1 pairwise twins, so its levels t < n - 1 are empty.
     monkeypatch.setattr(resolve, "_BLOCK", block_rows)
     for n in range(2, 9):
         graphs = tree_classes[n] + [u.graph for u in unicyclic_classes.get(n, [])]
         twin_sets = {
-            tuple(_pd_lower_bound(np.array(all_pairs_distances(g), dtype=np.int16))[1])
-            for g in graphs
+            tuple(_twin_bound_by_neighbourhoods(all_pairs_distances(g))[1]) for g in graphs
         }
         for t in range(1, n + 1):
             every = list(_rgs_by_filtering(n, t))
-            for twins in twin_sets:
-                blocks = list(_rgs_blocks(n, t, twins))
+            for pairs in twin_sets:
+                blocks = list(_rgs_blocks(n, t, _previous_twins(n, pairs)))
                 assert all(1 <= len(b) <= block_rows for b in blocks)
                 streamed = [tuple(int(x) for x in row) for b in blocks for row in b]
-                assert streamed == [r for r in every if all(r[u] != r[v] for u, v in twins)]
+                assert streamed == [r for r in every if all(r[u] < r[v] for u, v in pairs)]
     star = graph_from_edges(8, [(0, leaf) for leaf in range(1, 8)])
-    bound, twins = _pd_lower_bound(np.array(all_pairs_distances(star), dtype=np.int16))
-    assert bound == 7 and list(_rgs_blocks(8, 6, twins)) == []
+    bound, prev = _pd_lower_bound(np.array(all_pairs_distances(star), dtype=np.int16))
+    assert bound == 7 and list(_rgs_blocks(8, 6, prev)) == []
+
+
+def test_rgs_walk_fixes_no_prefix_that_breaks_the_twin_order(monkeypatch, tree_classes):
+    # With one row per block the walk fixes every position, so each tail
+    # lookup completes one whole string.  At t >= 2 the walk reaches a string
+    # only through labels that keep the twin order, so none is masked away.
+    monkeypatch.setattr(resolve, "_BLOCK", 1)
+    lookups = []
+    completions = resolve._completions
+
+    def counted(s, mx, t):
+        lookups.append(s)
+        return completions(s, mx, t)
+
+    monkeypatch.setattr(resolve, "_completions", counted)
+    for n in range(2, 9):
+        for g in tree_classes[n]:
+            _, prev = _pd_lower_bound(np.array(all_pairs_distances(g), dtype=np.int16))
+            for t in range(2, n + 1):
+                lookups.clear()
+                blocks = list(_rgs_blocks(n, t, prev))
+                assert lookups == [0] * len(blocks)
 
 
 def test_rgs_blocks_shrink_above_the_default_cap():
     # The evaluator's rows x n x n temporaries stay within those at n = 12.
     for n in (13, 40, 300):
-        for block in islice(_rgs_blocks(n, 2, ()), 50):
+        for block in islice(_rgs_blocks(n, 2, [-1] * n), 50):
             assert 1 <= len(block) and len(block) * n * n <= _BLOCK * DEFAULT_PD_CAP**2
 
 
