@@ -69,9 +69,7 @@ from .verification import (
     BoundRecord,
     BoundsReport,
     RANDOM_SCHEME,
-    ScanRecord,
     ScanResult,
-    TreeScanEntry,
     bounds_report,
     conjecture_scan,
     gen_c4k,

@@ -60,9 +60,8 @@ class OrderedPartition:
         if len(union) != self.n:
             raise InvalidPartitionError("parts overlap")
         if union != frozenset(range(self.n)):
-            raise InvalidPartitionError(
-                f"parts must cover exactly the vertex ids 0..{self.n - 1}"
-            )
+            missing = min(frozenset(range(self.n)) - union)
+            raise InvalidPartitionError(f"vertex {missing} is in no part")
 
     @property
     def t(self) -> int:

@@ -534,38 +534,6 @@ def tree_report(
 
 
 @dataclass(frozen=True)
-class TreeScanEntry:
-    deleted_edge: tuple[int, int]
-    pd: int
-    witness: OrderedPartition
-
-    def to_json(self) -> dict:
-        return {
-            "deleted_edge": list(self.deleted_edge),
-            "pd": self.pd,
-            "partition": self.witness.to_lists(),
-        }
-
-
-@dataclass(frozen=True)
-class ScanRecord:
-    instance: str
-    n: int
-    pd: int
-    trees: tuple[TreeScanEntry, ...]
-    max_gap: int
-
-    def to_json(self) -> dict:
-        return {
-            "instance": self.instance,
-            "n": self.n,
-            "pd": self.pd,
-            "trees": [t.to_json() for t in self.trees],
-            "max_gap": self.max_gap,
-        }
-
-
-@dataclass(frozen=True)
 class ScanResult:
     """Per-instance pd gaps against all spanning trees, with violation lists.
 
@@ -573,9 +541,12 @@ class ScanResult:
     class of its own; a gap of 2 or 3 is an interesting finding but not a
     failure.  ``metadata`` describes how the instance family was produced
     (for random families: the PRNG scheme, so seeds reproduce across builds).
+    Each of ``records`` is the JSON row printed for one instance, plain dicts,
+    lists, strings and ints: ``{"instance", "n", "pd", "trees", "max_gap"}``,
+    and per tree ``{"deleted_edge", "pd", "partition"}``.
     """
 
-    records: tuple[ScanRecord, ...]
+    records: tuple[dict, ...]
     gap_histogram: dict[int, int]
     conjecture_violations: tuple[dict, ...]
     proposition_violations: tuple[dict, ...]
@@ -591,7 +562,7 @@ class ScanResult:
             "count": self.count,
             "pd_cap": self.pd_cap,
             "metadata": dict(sorted(self.metadata.items())),
-            "records": [r.to_json() for r in self.records],
+            "records": list(self.records),
             "gap_histogram": {str(k): v for k, v in sorted(self.gap_histogram.items())},
             "conjecture_violations": list(self.conjecture_violations),
             "proposition_violations": list(self.proposition_violations),
@@ -604,34 +575,29 @@ class ScanResult:
 _TREE_PD: dict[Code, int] = {}
 
 
-def _scan_one(instance: tuple[str, UnicyclicGraph], pd_cap: int) -> ScanRecord:
-    """One instance's record.  pd is an isomorphism invariant, so a tree of a
-    class in ``_TREE_PD`` searches only its own witness level, in its own
-    labelling, and finds the same first witness as a search from scratch."""
+def _scan_one(instance: tuple[str, UnicyclicGraph], pd_cap: int) -> dict:
+    """One instance's JSON row (see ``ScanResult``); each witness is kept as
+    its lists only.  pd is an isomorphism invariant, so a tree of a class in
+    ``_TREE_PD`` searches only its own witness level, in its own labelling,
+    and finds the same first witness as a search from scratch."""
     instance_id, u = instance
     try:
         check_cap(u.graph.n, pd_cap, "partition-dimension")
     except SolverCapError as exc:
         raise SolverCapError(f"instance {instance_id}: {exc}") from None
     pd_g, _ = partition_dimension_exact(u.graph.distances, cap=pd_cap)
-    entries = []
+    trees = []
     for tree in u.spanning_trees:
         code = _free_code(tree.graph)
         pd_t, witness = partition_dimension_exact(
             tree.graph.distances, cap=pd_cap, start=_TREE_PD.get(code, 1)
         )
         _TREE_PD[code] = pd_t
-        entries.append(
-            TreeScanEntry(deleted_edge=tree.deleted_edge, pd=pd_t, witness=witness)
+        trees.append(
+            dict(deleted_edge=list(tree.deleted_edge), pd=pd_t, partition=witness.to_lists())
         )
-    max_gap = max(pd_g - e.pd for e in entries)
-    return ScanRecord(
-        instance=instance_id,
-        n=u.graph.n,
-        pd=pd_g,
-        trees=tuple(entries),
-        max_gap=max_gap,
-    )
+    max_gap = max(pd_g - t["pd"] for t in trees)
+    return dict(instance=instance_id, n=u.graph.n, pd=pd_g, trees=trees, max_gap=max_gap)
 
 
 def _map_in_workers(jobs: int, fn, items: Iterable) -> Iterator:
@@ -656,12 +622,15 @@ def conjecture_scan(
     """Compute pd(G) and pd(T) for every spanning tree T of every instance.
 
     ``instances`` yields (id, graph) pairs; the scan reads it once and holds
-    no graph past its record.  Deterministic for a fixed instance stream;
-    violation lists are ordered by instance position.  ``jobs`` > 1 fans
-    instances out to worker processes, at most one per usable CPU, with at
-    most 8 instances per worker drawn ahead of the merged records, which
-    keep the order of the stream.  The scan, and each worker, keeps the pd
-    of every spanning-tree class it has solved until the scan ends.
+    no graph past its record.  Each record is the JSON row of its instance
+    (see ``ScanResult``), so workers send back only strings, ints and lists,
+    and ``to_json`` prints the rows themselves, not copies.  Deterministic
+    for a fixed instance stream; violation lists are ordered by instance
+    position.  ``jobs`` > 1 fans instances out to worker processes, at most
+    one per usable CPU, with at most 8 instances per worker drawn ahead of
+    the merged records, which keep the order of the stream.  The scan, and
+    each worker, keeps the pd of every spanning-tree class it has solved
+    until the scan ends.
     """
     # The CPUs this process may run on: its affinity set, where the OS has one.
     usable = getattr(os, "sched_getaffinity", None)
@@ -674,15 +643,15 @@ def conjecture_scan(
     _TREE_PD.clear()
     try:
         scanned = _map_in_workers(jobs, scan, instances) if jobs > 1 else map(scan, instances)
-        for rec in scanned:
-            records.append(rec)
-            for entry in rec.trees:
-                gap = rec.pd - entry.pd
+        for row in scanned:
+            records.append(row)
+            for tree in row["trees"]:
+                gap = row["pd"] - tree["pd"]
                 histogram[gap] = histogram.get(gap, 0) + 1
                 if gap >= 2:
                     item = {
-                        "instance": rec.instance,
-                        "deleted_edge": list(entry.deleted_edge),
+                        "instance": row["instance"],
+                        "deleted_edge": tree["deleted_edge"],
                         "gap": gap,
                     }
                     conjecture.append(item)

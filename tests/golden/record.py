@@ -4,7 +4,7 @@ Usage (from the repository root): python3 tests/golden/record.py
 
 Runs every case below through ``udim.cli.main`` in this interpreter, from
 the repository root, and writes each one's exit code to ``golden.json``
-together with either its stdout (in ``<case>.out``) or, for the two large
+together with either its stdout (in ``<case>.out``) or, for the large
 scans, the sha256 digest of its stdout.
 Re-record only when a change to the program's output is intended.
 """
@@ -51,6 +51,10 @@ CASES = {
     "scan-exhaustive-3-8": (["scan", "--exhaustive", "3..8", *JSON], True),
     "scan-random-100-n11": (
         ["scan", "--random", "100", "--n", "11", "--seed", "0", *JSON], True
+    ),
+    # records cross the worker boundary: the JSON must not depend on --jobs
+    "scan-exhaustive-10-jobs2": (
+        ["scan", "--exhaustive", "10..10", "--jobs", "2", *JSON], True
     ),
     **{
         f"{command}-{spec.replace(':', '')}-{fmt}": (

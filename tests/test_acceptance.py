@@ -13,6 +13,7 @@ import time
 from functools import lru_cache
 
 from udim import (
+    OrderedPartition,
     SolverCapError,
     all_pairs_distances,
     bounds_report,
@@ -262,12 +263,12 @@ def test_c07_constructions_all_verified():
     # partitions the scan already computed.
     graphs = dict(family9())
     for rec in family9_scan().records:
-        u = graphs[rec.instance]
+        u = graphs[rec["instance"]]
         trees = {t.deleted_edge: t for t in spanning_trees(u)}
-        for entry in rec.trees:
-            tree = trees[entry.deleted_edge]
-            cert = lift_tree_partition(u, entry.witness, tree)
-            lifts.append((rec.instance, u, entry.pd, tree, cert))
+        for entry in rec["trees"]:
+            tree = trees[tuple(entry["deleted_edge"])]
+            cert = lift_tree_partition(u, OrderedPartition.from_parts(entry["partition"]), tree)
+            lifts.append((rec["instance"], u, entry["pd"], tree, cert))
     # And the minimum-leaf tree of every random instance.
     for instance_id, u in random_family():
         _, tree = epsilon(u)

@@ -195,6 +195,9 @@ def test_verify_malformed_partition(tmp_path, capsys):
     assert run(capsys, "verify", str(part), "--gen", "cycle:4")[0] == 1
     part.write_text("0 1\n")  # gap
     assert run(capsys, "verify", str(part), "--gen", "cycle:4")[0] == 1
+    part.write_text("0\n2\n")  # gap: vertex 1 of path:3 is in no part
+    assert main(["verify", str(part), "--gen", "path:3"]) == 1
+    assert "vertex 1 is in no part" in capsys.readouterr().err
     part.write_text("0 0\n1 2\n")  # a vertex listed twice in one part
     assert run(capsys, "verify", str(part), "--gen", "path:3")[0] == 1
 

@@ -354,12 +354,30 @@ def test_tree_report_on_single_vertex():
 def test_scan_on_cycles():
     result = conjecture_scan((f"cycle:{n}", gen_cycle(n)) for n in range(3, 10))
     assert result.count == 7
-    assert all(rec.pd == 3 for rec in result.records)
-    assert all(entry.pd == 2 for rec in result.records for entry in rec.trees)
-    assert all(rec.max_gap == 1 for rec in result.records)
+    assert all(rec["pd"] == 3 for rec in result.records)
+    assert all(entry["pd"] == 2 for rec in result.records for entry in rec["trees"])
+    assert all(rec["max_gap"] == 1 for rec in result.records)
     assert result.conjecture_violations == ()
     assert result.proposition_violations == ()
-    assert result.gap_histogram == {1: sum(r.n for r in result.records)}
+    assert result.gap_histogram == {1: sum(r["n"] for r in result.records)}
+
+
+def test_scan_records_are_the_json_rows():
+    # to_json prints the rows the result holds, not copies, and a row is
+    # made of strings, ints, lists and dicts only: no partition object.
+    result = conjecture_scan([("c4k:2", gen_c4k(2)), ("sun:3", gen_sun(3))])
+    printed = result.to_json()["records"]
+    assert len(printed) == len(result.records) == 2
+    assert all(a is b for a, b in zip(printed, result.records))
+
+    def plain(value) -> bool:
+        if isinstance(value, list):
+            return all(plain(v) for v in value)
+        if isinstance(value, dict):
+            return all(isinstance(k, str) and plain(v) for k, v in value.items())
+        return type(value) in (str, int)
+
+    assert all(plain(row) for row in result.records)
 
 
 def test_scan_is_deterministic_and_parallel_safe():
@@ -438,7 +456,7 @@ def test_scan_pool_is_capped_at_the_cpu_count(monkeypatch, inline_pool, cpus, wo
     instances = [("c4", gen_cycle(4)), ("c5", gen_cycle(5))]
     result = conjecture_scan(instances, jobs=100_000)
     assert started == workers
-    assert [rec.instance for rec in result.records] == ["c4", "c5"]
+    assert [rec["instance"] for rec in result.records] == ["c4", "c5"]
     # A process confined to one CPU (taskset, a cpuset) scans inline,
     # whatever the host's CPU count.
     started.clear()
@@ -460,7 +478,7 @@ def test_scan_in_workers_draws_a_bounded_stream(monkeypatch, inline_pool):
 
     result = conjecture_scan(instances(), jobs=2)
     assert inline_pool["started"] == [2]
-    assert [rec.instance for rec in result.records] == [f"c{i}" for i in range(40)]
+    assert [rec["instance"] for rec in result.records] == [f"c{i}" for i in range(40)]
     assert max(ahead) == 15
     assert result.to_json() == conjecture_scan(instances()).to_json()
 
@@ -468,7 +486,8 @@ def test_scan_in_workers_draws_a_bounded_stream(monkeypatch, inline_pool):
 def test_scan_tree_entries_follow_cycle_edge_order():
     u = gen_c4k(2)
     result = conjecture_scan([("instance:0", u)])
-    assert [e.deleted_edge for e in result.records[0].trees] == list(u.cycle_edges())
+    edges = [tuple(e["deleted_edge"]) for e in result.records[0]["trees"]]
+    assert edges == list(u.cycle_edges())
 
 
 def test_tree_class_memo_leaves_the_scan_unchanged(monkeypatch, unicyclic_classes):
@@ -514,7 +533,7 @@ def test_a_known_tree_class_searches_only_its_pd_level(monkeypatch):
         per_instance.append(levels)
 
     result = conjecture_scan(instances())
-    assert [e.pd for rec in result.records for e in rec.trees] == [3] * 8
+    assert [e["pd"] for rec in result.records for e in rec["trees"]] == [3] * 8
     # G, then the trees: the first of each class climbs from t = 2.
     assert per_instance[0] == [2, 3] + [2, 3, 3] + [2, 3, 3]
     # Every tree of the relabelled copy enumerates its pd level alone.
