@@ -66,10 +66,7 @@ from .resolve import (
     set_representation,
 )
 from .verification import (
-    BoundRecord,
-    BoundsReport,
     RANDOM_SCHEME,
-    ScanResult,
     bounds_report,
     conjecture_scan,
     gen_c4k,

@@ -149,45 +149,44 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             u, instance_id=instance, dim_cap=args.dim_cap, pd_cap=args.pd_cap
         )
     if args.format == "json":
-        _print_json(report.to_json())
+        _print_json(report)
     else:
-        inv = report.invariants
-        print(f"instance: {report.instance}")
-        cyc = f" cycle={list(report.cycle)}" if report.cycle else ""
-        print(f"n={report.n} kind={report.kind}{cyc}")
-        fields = [f"n1={inv.n1}", f"ex={inv.ex}", f"rho={inv.rho}",
-                  f"kappa={inv.kappa}", f"tau={inv.tau}"]
-        if inv.epsilon is not None:
-            a, b = inv.epsilon_deleted_edge
-            fields.append(f"epsilon={inv.epsilon} (delete {a}-{b})")
-        if inv.xi is not None:
-            fields.append(f"xi={inv.xi} theta={inv.theta}")
+        inv, exact = report["invariants"], report["exact"]
+        print(f"instance: {report['instance']}")
+        cyc = f" cycle={report['cycle']}" if report["cycle"] else ""
+        print(f"n={report['n']} kind={report['kind']}{cyc}")
+        fields = [f"{name}={inv[name]}" for name in ("n1", "ex", "rho", "kappa", "tau")]
+        if inv["epsilon"] is not None:
+            a, b = inv["epsilon_deleted_edge"]
+            fields.append(f"epsilon={inv['epsilon']} (delete {a}-{b})")
+        if inv["xi"] is not None:
+            fields.append(f"xi={inv['xi']} theta={inv['theta']}")
         print("invariants: " + " ".join(fields))
-        dim_s = "-" if report.exact_dim is None else str(report.exact_dim)
-        pd_s = "-" if report.exact_pd is None else str(report.exact_pd)
+        dim_s = "-" if exact["dim"] is None else str(exact["dim"])
+        pd_s = "-" if exact["pd"] is None else str(exact["pd"])
         print(f"exact: dim={dim_s} pd={pd_s}")
-        if report.dim_witness is not None:
-            print(f"  dim witness: {sorted(report.dim_witness)}")
-        if report.pd_witness is not None:
-            print(f"  pd witness: {report.pd_witness.to_lists()}")
+        if exact["dim_witness"] is not None:
+            print(f"  dim witness: {sorted(exact['dim_witness'])}")
+        if exact["pd_witness"] is not None:
+            print(f"  pd witness: {exact['pd_witness']}")
         print(f"{'bound':<28}{'target':<8}{'kind':<8}{'value':<8}{'applies':<9}ok")
-        for rec in report.records:
-            value = "-" if rec.value is None else str(rec.value)
+        for rec in report["bounds"]:
+            value = "-" if rec["value"] is None else str(rec["value"])
             print(
-                f"{rec.name:<28}{rec.target:<8}{rec.kind:<8}{value:<8}"
-                f"{'yes' if rec.applicable else 'no':<9}{_yes_no(rec.satisfied)}"
+                f"{rec['name']:<28}{rec['target']:<8}{rec['kind']:<8}{value:<8}"
+                f"{'yes' if rec['applicable'] else 'no':<9}{_yes_no(rec['satisfied'])}"
             )
-        for name, cert in report.certificates.items():
-            status = _good("verified") if cert.verified else _bad("FAILED")
+        for name, cert in report["certificates"].items():
+            status = _good("verified") if cert["verified"] else _bad("FAILED")
             print(
-                f"certificate {name}: {status} size={cert.size} "
-                f"bound={cert.claimed_bound}"
+                f"certificate {name}: {status} size={cert['size']} "
+                f"bound={cert['claimed_bound']}"
             )
-        if report.violations:
-            print(_bad(f"violations: {', '.join(report.violations)}"))
+        if report["violations"]:
+            print(_bad(f"violations: {', '.join(report['violations'])}"))
         else:
             print(_good("violations: none"))
-    return EXIT_BOUND_VIOLATION if report.violations else EXIT_OK
+    return EXIT_BOUND_VIOLATION if report["violations"] else EXIT_OK
 
 
 # ``dim``/``pd`` -> (solver named in the cap message, solver, independent
@@ -313,20 +312,18 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     check_cap(hi, args.pd_cap, "partition-dimension")
     result = conjecture_scan(instances, pd_cap=args.pd_cap, jobs=args.jobs, metadata=metadata)
     if args.format == "json":
-        _print_json(result.to_json())
+        _print_json(result)
     else:
-        print(f"scanned {result.count} instances (pd cap {result.pd_cap})")
-        hist = "  ".join(
-            f"{gap}: {count}" for gap, count in sorted(result.gap_histogram.items())
-        )
+        print(f"scanned {result['count']} instances (pd cap {result['pd_cap']})")
+        hist = "  ".join(f"{gap}: {count}" for gap, count in result["gap_histogram"].items())
         print(f"gap histogram: {hist}")
-        print(f"conjecture violations (gap >= 2): {len(result.conjecture_violations)}")
-        for item in result.conjecture_violations:
+        print(f"conjecture violations (gap >= 2): {len(result['conjecture_violations'])}")
+        for item in result["conjecture_violations"]:
             print(f"  {item['instance']} tree {item['deleted_edge']} gap {item['gap']}")
-        n_prop = len(result.proposition_violations)
+        n_prop = len(result["proposition_violations"])
         line = f"proposition violations (gap >= 4): {n_prop}"
         print(_good(line) if n_prop == 0 else _bad(line))
-    return EXIT_OK if not result.proposition_violations else EXIT_BOUND_VIOLATION
+    return EXIT_BOUND_VIOLATION if result["proposition_violations"] else EXIT_OK
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

@@ -67,9 +67,10 @@ def _walk_to_major(g: Graph, pendant: int, majors: frozenset[int]) -> list[int] 
     """Follow the forced walk from a pendant until the first major vertex.
 
     Returns the walked vertices (pendant first, major last), or None when the
-    walk ends at another degree-1 vertex, i.e. the graph has no major on the
-    way (a path graph).  The walk never revisits a vertex: it passes only
-    degree-2 vertices, and the first one it came back to would be a major.
+    walk ends at another degree-1 vertex, i.e. no major lies on the way (a
+    path graph, or a path component of a disconnected graph).  The walk
+    never revisits a vertex: it passes only degree-2 vertices, and the first
+    one it came back to would be a major.
     """
     walk = [pendant]
     prev = -1

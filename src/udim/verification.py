@@ -12,7 +12,6 @@ import os
 import random
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Iterable, Iterator, Sequence
 
@@ -36,7 +35,6 @@ from .invariants import (
 from .resolve import (
     DEFAULT_DIM_CAP,
     DEFAULT_PD_CAP,
-    OrderedPartition,
     check_cap,
     metric_dimension_exact,
     partition_dimension_exact,
@@ -245,85 +243,6 @@ def gen_exhaustive_trees(n: int) -> Iterator[Graph]:
 # -- bound-chain reports -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundRecord:
-    """One evaluated bound: its value, whether it applies, whether it held."""
-
-    name: str
-    target: str  # "dim" or "pd"
-    kind: str  # "lower", "upper" or "equal"
-    value: int | None
-    applicable: bool
-    satisfied: bool | None
-    certificate: str | None = None
-    detail: dict | None = None
-
-    def to_json(self) -> dict:
-        # The fields in declaration order.  dataclasses.asdict would deep-copy
-        # ``detail`` and takes about 40 times as long.
-        return dict(vars(self))
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    """Invariants, exact values, evaluated bound chain and certificates."""
-
-    instance: str
-    n: int
-    kind: str  # "unicyclic" or "tree"
-    cycle: tuple[int, ...] | None
-    invariants: GraphInvariants
-    exact_dim: int | None
-    dim_witness: tuple[int, ...] | None
-    exact_pd: int | None
-    pd_witness: OrderedPartition | None
-    records: tuple[BoundRecord, ...]
-    certificates: dict[str, CertifiedConstruction] = field(default_factory=dict)
-
-    @property
-    def violations(self) -> tuple[str, ...]:
-        names = [
-            r.name for r in self.records if r.applicable and r.satisfied is False
-        ]
-        names.extend(
-            f"certificate:{name}"
-            for name, cert in self.certificates.items()
-            if not cert.verified
-        )
-        return tuple(names)
-
-    def record(self, name: str) -> BoundRecord:
-        for r in self.records:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
-    def to_json(self) -> dict:
-        return {
-            "instance": self.instance,
-            "n": self.n,
-            "kind": self.kind,
-            "cycle": list(self.cycle) if self.cycle is not None else None,
-            "invariants": {
-                name: list(value) if isinstance(value, tuple) else value
-                for name, value in vars(self.invariants).items()
-            },
-            "exact": {
-                "dim": self.exact_dim,
-                "dim_witness": list(self.dim_witness) if self.dim_witness else None,
-                "pd": self.exact_pd,
-                "pd_witness": (
-                    self.pd_witness.to_lists() if self.pd_witness else None
-                ),
-            },
-            "bounds": [r.to_json() for r in self.records],
-            "violations": list(self.violations),
-            "certificates": {
-                name: cert.to_json() for name, cert in self.certificates.items()
-            },
-        }
-
-
 # Every bound record, in unicyclic report order: (name, target, kind).
 BOUNDS = (
     ("dim_vs_tree_dim.lower", "dim", "lower"),
@@ -358,14 +277,15 @@ def _satisfied(kind: str, value: int | None, exact: int | None) -> bool | None:
 
 def _bound_records(
     rows: Sequence[tuple],
-    exact: dict[str, int | None],
+    exact: dict,
     certified: dict[str, str] | None = None,
-) -> tuple[BoundRecord, ...]:
-    """Records for (name, value, applicable[, detail]) rows, in row order,
-    then every other bound of BOUNDS as a not-applicable placeholder.
+) -> list[dict]:
+    """The JSON records of (name, value, applicable[, detail]) rows, in row
+    order, then every other bound of BOUNDS as a not-applicable placeholder.
 
-    ``exact`` maps a target ("dim", "pd") to its exact value, and
-    ``certified`` a bound name to the certificate that backs it.
+    ``exact`` is the report's ``exact`` payload, read at each record's target
+    ("dim", "pd"), and ``certified`` maps a bound name to the certificate
+    that backs it.
     """
     certified = certified or {}
     evaluated = {row[0] for row in rows}
@@ -375,26 +295,71 @@ def _bound_records(
     for name, value, applicable, *detail in [*rows, *placeholders]:
         target, kind = targets[name]
         records.append(
-            BoundRecord(
-                name=name,
-                target=target,
-                kind=kind,
-                value=value,
-                applicable=applicable,
-                satisfied=_satisfied(kind, value, exact[target]) if applicable else None,
-                certificate=certified.get(name),
-                detail=detail[0] if detail else None,
-            )
+            {
+                "name": name,
+                "target": target,
+                "kind": kind,
+                "value": value,
+                "applicable": applicable,
+                "satisfied": _satisfied(kind, value, exact[target]) if applicable else None,
+                "certificate": certified.get(name),
+                "detail": detail[0] if detail else None,
+            }
         )
-    return tuple(records)
+    return records
 
 
-def _exact(g: Graph, dim_cap: int, pd_cap: int) -> tuple:
-    """(dim, dim witness, pd, pd witness); a value above its cap is None.  The
-    distance matrix is built only if n is within one of the caps."""
-    dim = metric_dimension_exact(g.distances, cap=dim_cap) if g.n <= dim_cap else (None, None)
-    pd = partition_dimension_exact(g.distances, cap=pd_cap) if g.n <= pd_cap else (None, None)
-    return (*dim, *pd)
+def _exact(g: Graph, dim_cap: int, pd_cap: int) -> dict:
+    """The report's ``exact`` payload: dim and pd with their witnesses, None
+    above its cap.  The distance matrix is built only if n is within one of
+    the caps."""
+    dim, dim_witness = (
+        metric_dimension_exact(g.distances, cap=dim_cap) if g.n <= dim_cap else (None, None)
+    )
+    pd, pd_witness = (
+        partition_dimension_exact(g.distances, cap=pd_cap) if g.n <= pd_cap else (None, None)
+    )
+    return {
+        "dim": dim,
+        "dim_witness": list(dim_witness) if dim_witness is not None else None,
+        "pd": pd,
+        "pd_witness": pd_witness.to_lists() if pd_witness is not None else None,
+    }
+
+
+def _report(
+    instance_id: str,
+    kind: str,
+    g: Graph,
+    cycle: tuple[int, ...] | None,
+    inv: GraphInvariants,
+    exact: dict,
+    records: list[dict],
+    certificates: dict[str, CertifiedConstruction],
+) -> dict:
+    """The JSON payload of a bounds report (README, "JSON schemas").
+
+    ``violations`` lists the applicable bounds that failed, then
+    ``certificate:<name>`` for each certificate that did not verify.
+    """
+    violations = [r["name"] for r in records if r["applicable"] and r["satisfied"] is False]
+    violations.extend(
+        f"certificate:{name}" for name, cert in certificates.items() if not cert.verified
+    )
+    return {
+        "instance": instance_id,
+        "n": g.n,
+        "kind": kind,
+        "cycle": list(cycle) if cycle is not None else None,
+        "invariants": {
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in vars(inv).items()
+        },
+        "exact": exact,
+        "bounds": records,
+        "violations": violations,
+        "certificates": {name: cert.to_json() for name, cert in certificates.items()},
+    }
 
 
 def _tree_dim(g: Graph, dim_cap: int) -> int:
@@ -410,8 +375,9 @@ def bounds_report(
     instance_id: str = "graph",
     dim_cap: int = DEFAULT_DIM_CAP,
     pd_cap: int = DEFAULT_PD_CAP,
-) -> BoundsReport:
-    """Evaluate the full bound chain on a unicyclic graph.
+) -> dict:
+    """Evaluate the full bound chain on a unicyclic graph; return the report
+    that ``analyze --format json`` prints.
 
     Tree-quantified bounds are evaluated on every spanning tree (the record
     keeps the binding value, the detail map the per-tree values); bounds
@@ -422,7 +388,7 @@ def bounds_report(
     g = u.graph
     inv = graph_invariants(g, unicyclic=u)
     _, eps_tree = u.epsilon
-    exact_dim, dim_witness, exact_pd, pd_witness = _exact(g, dim_cap, pd_cap)
+    exact = _exact(g, dim_cap, pd_cap)
 
     dim_detail: dict[str, int] = {}
     leaf_detail: dict[str, int] = {}
@@ -456,7 +422,7 @@ def bounds_report(
             ("dim_vs_tree_dim.upper", min(tree_dims) + 1, True, dim_detail),
             ("dim_vs_tree_leaves.lower", max(leaf_scores) - 2, True, leaf_detail),
             ("dim_vs_tree_leaves.upper", min(leaf_scores) + 1, True, leaf_detail),
-            ("pd_vs_dim", exact_dim + 1 if exact_dim is not None else None, True),
+            ("pd_vs_dim", exact["dim"] + 1 if exact["dim"] is not None else None, True),
             ("pd_vs_tree_leaves", min(leaf_scores) + 2, True, leaf_detail),
             ("pd_min_nonpath", 3, True),
             ("dim_pendant_support", inv.n1 - inv.rho, pendant),
@@ -474,23 +440,10 @@ def bounds_report(
             ("tree_dim_formula", None, False),
             ("pd_path_exact", 2, False),
         ],
-        {"dim": exact_dim, "pd": exact_pd},
+        exact,
         certified,
     )
-
-    return BoundsReport(
-        instance=instance_id,
-        n=g.n,
-        kind="unicyclic",
-        cycle=u.cycle,
-        invariants=inv,
-        exact_dim=exact_dim,
-        dim_witness=dim_witness,
-        exact_pd=exact_pd,
-        pd_witness=pd_witness,
-        records=records,
-        certificates=certificates,
-    )
+    return _report(instance_id, "unicyclic", g, u.cycle, inv, exact, records, certificates)
 
 
 def tree_report(
@@ -498,75 +451,28 @@ def tree_report(
     instance_id: str = "tree",
     dim_cap: int = DEFAULT_DIM_CAP,
     pd_cap: int = DEFAULT_PD_CAP,
-) -> BoundsReport:
-    """Reduced report for a tree: the dim formula plus the generic pd bounds."""
+) -> dict:
+    """Reduced report for a tree, in the same JSON shape: the dim formula
+    plus the generic pd bounds."""
     if not is_tree(g):
         raise UdimError("tree_report needs a tree")
     inv = graph_invariants(g)
-    exact_dim, dim_witness, exact_pd, pd_witness = _exact(g, dim_cap, pd_cap)
+    exact = _exact(g, dim_cap, pd_cap)
     is_path = inv.ex == 0
     # The pd-of-a-path rule needs at least two vertices; a lone vertex has pd 1.
     records = _bound_records(
         [
             ("tree_dim_formula", None if is_path else inv.n1 - inv.ex, not is_path),
-            ("pd_vs_dim", exact_dim + 1 if exact_dim is not None else None, True),
+            ("pd_vs_dim", exact["dim"] + 1 if exact["dim"] is not None else None, True),
             ("pd_path_exact", 2, is_path and g.n >= 2),
             ("pd_min_nonpath", 3, not is_path),
         ],
-        {"dim": exact_dim, "pd": exact_pd},
+        exact,
     )
-    return BoundsReport(
-        instance=instance_id,
-        n=g.n,
-        kind="tree",
-        cycle=None,
-        invariants=inv,
-        exact_dim=exact_dim,
-        dim_witness=dim_witness,
-        exact_pd=exact_pd,
-        pd_witness=pd_witness,
-        records=records,
-        certificates={},
-    )
+    return _report(instance_id, "tree", g, None, inv, exact, records, {})
 
 
 # -- conjecture scanner --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    """Per-instance pd gaps against all spanning trees, with violation lists.
-
-    A gap of at least 4 would contradict a proven statement and is an error
-    class of its own; a gap of 2 or 3 is an interesting finding but not a
-    failure.  ``metadata`` describes how the instance family was produced
-    (for random families: the PRNG scheme, so seeds reproduce across builds).
-    Each of ``records`` is the JSON row printed for one instance, plain dicts,
-    lists, strings and ints: ``{"instance", "n", "pd", "trees", "max_gap"}``,
-    and per tree ``{"deleted_edge", "pd", "partition"}``.
-    """
-
-    records: tuple[dict, ...]
-    gap_histogram: dict[int, int]
-    conjecture_violations: tuple[dict, ...]
-    proposition_violations: tuple[dict, ...]
-    pd_cap: int
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def count(self) -> int:
-        return len(self.records)
-
-    def to_json(self) -> dict:
-        return {
-            "count": self.count,
-            "pd_cap": self.pd_cap,
-            "metadata": dict(sorted(self.metadata.items())),
-            "records": list(self.records),
-            "gap_histogram": {str(k): v for k, v in sorted(self.gap_histogram.items())},
-            "conjecture_violations": list(self.conjecture_violations),
-            "proposition_violations": list(self.proposition_violations),
-        }
 
 
 # The pd of every spanning-tree class solved in this process, keyed by its
@@ -576,7 +482,7 @@ _TREE_PD: dict[Code, int] = {}
 
 
 def _scan_one(instance: tuple[str, UnicyclicGraph], pd_cap: int) -> dict:
-    """One instance's JSON row (see ``ScanResult``); each witness is kept as
+    """One instance's JSON row (see ``conjecture_scan``); each witness is kept as
     its lists only.  pd is an isomorphism invariant, so a tree of a class in
     ``_TREE_PD`` searches only its own witness level, in its own labelling,
     and finds the same first witness as a search from scratch."""
@@ -618,15 +524,24 @@ def conjecture_scan(
     pd_cap: int = DEFAULT_PD_CAP,
     jobs: int = 1,
     metadata: dict | None = None,
-) -> ScanResult:
-    """Compute pd(G) and pd(T) for every spanning tree T of every instance.
+) -> dict:
+    """Compute pd(G) and pd(T) for every spanning tree T of every instance;
+    return the result that ``scan --format json`` prints.
+
+    The result is ``{"count", "pd_cap", "metadata", "records",
+    "gap_histogram", "conjecture_violations", "proposition_violations"}``.
+    A gap of at least 4 would contradict a proven statement and is an error
+    class of its own; a gap of 2 or 3 is an interesting finding but not a
+    failure.  ``metadata`` describes how the instance family was produced
+    (for random families: the PRNG scheme, so seeds reproduce across builds).
+    Each of ``records`` is the JSON row of one instance, plain dicts, lists,
+    strings and ints: ``{"instance", "n", "pd", "trees", "max_gap"}``, and
+    per tree ``{"deleted_edge", "pd", "partition"}``.
 
     ``instances`` yields (id, graph) pairs; the scan reads it once and holds
-    no graph past its record.  Each record is the JSON row of its instance
-    (see ``ScanResult``), so workers send back only strings, ints and lists,
-    and ``to_json`` prints the rows themselves, not copies.  Deterministic
-    for a fixed instance stream; violation lists are ordered by instance
-    position.  ``jobs`` > 1 fans instances out to worker processes, at most
+    no graph past its record, and workers send back only the rows.
+    Deterministic for a fixed instance stream; violation lists are ordered
+    by instance position.  ``jobs`` > 1 fans instances out to worker processes, at most
     one per usable CPU, with at most 8 instances per worker drawn ahead of
     the merged records, which keep the order of the stream.  The scan, and
     each worker, keeps the pd of every spanning-tree class it has solved
@@ -659,11 +574,12 @@ def conjecture_scan(
                         proposition.append(item)
     finally:
         _TREE_PD.clear()
-    return ScanResult(
-        records=tuple(records),
-        gap_histogram=histogram,
-        conjecture_violations=tuple(conjecture),
-        proposition_violations=tuple(proposition),
-        pd_cap=pd_cap,
-        metadata=metadata or {},
-    )
+    return {
+        "count": len(records),
+        "pd_cap": pd_cap,
+        "metadata": dict(sorted((metadata or {}).items())),
+        "records": records,
+        "gap_histogram": {str(k): v for k, v in sorted(histogram.items())},
+        "conjecture_violations": conjecture,
+        "proposition_violations": proposition,
+    }

@@ -74,6 +74,9 @@ CASES = {
         ["construct", "xi-theta", TWO_MAJORS, *JSON], False
     ),
     "analyze-two-majors": (["analyze", TWO_MAJORS], False),
+    # the text line of a resolving set, and verify's JSON
+    "construct-pendant-set-text": (["construct", "pendant-set", "--gen", "sun:3"], False),
+    "verify-resolving-json": (["verify", RESOLVING, "--gen", "path:6", *JSON], False),
 }
 
 

@@ -69,7 +69,7 @@ def test_report_certificates_follow_the_hypotheses(family):
     for u in family:
         applied = [(cert, bound) for cert, bound, applies in _hypotheses(u).values() if applies]
         report = bounds_report(u)
-        assert list(report.certificates) == [cert for cert, _ in applied]
-        tags = {r.name: r.certificate for r in report.records if r.certificate}
-        assert set(tags.values()) <= set(report.certificates)
+        assert list(report["certificates"]) == [cert for cert, _ in applied]
+        tags = {r["name"]: r["certificate"] for r in report["bounds"] if r["certificate"]}
+        assert set(tags.values()) <= set(report["certificates"])
         assert tags == {bound: cert for cert, bound in applied}

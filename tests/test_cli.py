@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -43,6 +44,50 @@ def test_analyze_json_schema(capsys):
     assert payload["violations"] == []
     names = {b["name"] for b in payload["bounds"]}
     assert "pd_kappa_tau" in names and "dim_vs_tree_leaves.upper" in names
+
+
+def test_analyze_json_prints_the_empty_dim_witness(capsys):
+    # dim(P1) = 0 with the empty witness set; null would mean "above the cap".
+    code, out = run(capsys, "analyze", "--gen", "path:1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["exact"]["dim_witness"] == []
+    assert "  dim witness: []\n" in run(capsys, "analyze", "--gen", "path:1")[1]
+
+
+def test_analyze_reports_a_broken_bound(monkeypatch, capsys):
+    # pd(C6) = 3 = dim + 1 meets pd_vs_dim; read as 4, it breaks that bound
+    # and the two others whose value is 3.
+    solve = udim.verification.partition_dimension_exact
+
+    def one_higher(dm, cap):
+        pd, witness = solve(dm, cap)
+        return pd + 1, witness
+
+    monkeypatch.setattr(udim.verification, "partition_dimension_exact", one_higher)
+    broken = ["pd_vs_dim", "pd_unit_terminal", "pd_support_leaf.upper"]
+    code, out = run(capsys, "analyze", "--gen", "cycle:6", "--format", "json")
+    assert code == 2
+    assert json.loads(out)["violations"] == broken
+    code, out = run(capsys, "analyze", "--gen", "cycle:6")
+    assert code == 2
+    assert out.endswith(f"violations: {', '.join(broken)}\n")
+
+
+def test_analyze_reports_an_unverified_certificate(monkeypatch, capsys):
+    build = udim.constructions.cycle_partition
+    monkeypatch.setattr(
+        udim.constructions, "cycle_partition",
+        lambda u: dataclasses.replace(build(u), verified=False),
+    )
+    code, out = run(capsys, "analyze", "--gen", "cycle:6", "--format", "json")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["violations"] == ["certificate:cycle-partition"]
+    assert payload["certificates"]["cycle-partition"]["verified"] is False
+    code, out = run(capsys, "analyze", "--gen", "cycle:6")
+    assert code == 2
+    assert "certificate cycle-partition: FAILED size=3 bound=3\n" in out
+    assert out.endswith("violations: certificate:cycle-partition\n")
 
 
 def test_analyze_tree_file(tmp_path, capsys):
@@ -430,6 +475,47 @@ def test_construct_json_schema(capsys):
     assert set(payload) == {
         "name", "kind", "object", "size", "claimed_bound", "verified", "witness",
     }
+
+
+# (instance, deleted edge, true gap) of every spanning tree at n = 4: n4#0 is
+# a triangle with a pendant, n4#1 the 4-cycle.
+GAPS_AT_4 = [
+    ("n4#0", [0, 1], 0), ("n4#0", [1, 2], 1), ("n4#0", [0, 2], 1),
+    ("n4#1", [0, 1], 1), ("n4#1", [1, 2], 1), ("n4#1", [2, 3], 1), ("n4#1", [0, 3], 1),
+]
+
+
+@pytest.mark.parametrize("raised, exit_code", [(2, 0), (4, 2)])
+def test_scan_reports_gaps_of_two_and_four(monkeypatch, capsys, raised, exit_code):
+    # pd(G) reads ``raised`` higher, every tree's pd and witness as solved:
+    # each gap grows by ``raised``, so the smallest faked gap is exactly 2,
+    # then exactly 4.
+    solve = udim.verification.partition_dimension_exact
+
+    def graph_pd_raised(dm, cap, start=1):
+        pd, witness = solve(dm, cap=cap, start=start)
+        is_tree = sum(row.count(1) for row in dm) // 2 == len(dm) - 1
+        return (pd if is_tree else pd + raised), witness
+
+    monkeypatch.setattr(udim.verification, "partition_dimension_exact", graph_pd_raised)
+    items = [
+        {"instance": i, "deleted_edge": e, "gap": gap + raised} for i, e, gap in GAPS_AT_4
+    ]
+    proposition = [item for item in items if item["gap"] >= 4]
+    assert len(proposition) == (0 if raised == 2 else len(items))
+    argv = ("scan", "--exhaustive", "4..4", "--jobs", "1")
+    code, out = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert code == exit_code
+    assert payload["conjecture_violations"] == items
+    assert payload["proposition_violations"] == proposition
+    code, out = run(capsys, *argv)
+    assert code == exit_code
+    assert out.splitlines()[2:] == [
+        "conjecture violations (gap >= 2): 7",
+        *(f"  {i['instance']} tree {i['deleted_edge']} gap {i['gap']}" for i in items),
+        f"proposition violations (gap >= 4): {len(proposition)}",
+    ]
 
 
 def test_scan_json_schema(capsys):

@@ -57,6 +57,14 @@ def test_terminal_profile_of_star():
     assert len(profiles) == 1 and profiles[0].terminal_degree == 4
 
 
+def test_terminal_profiles_skip_a_component_without_a_major():
+    # The walk from pendant 4 ends at pendant 5 without meeting a major, so
+    # the edge 4-5 gets no profile; only a disconnected graph reaches this.
+    profiles = terminal_profiles(graph_from_edges(6, [(0, 1), (0, 2), (0, 3), (4, 5)]))
+    assert [p.major for p in profiles] == [0]
+    assert profiles[0].terminals == (1, 2, 3)
+
+
 def test_terminal_profile_of_c4k_spanning_tree():
     # Deleting the cycle edge (0, 3) leaves a single exterior major vertex.
     u = gen_c4k(2)

@@ -202,52 +202,71 @@ def test_generator_streams_are_pinned():
 # -- bounds reports -----------------------------------------------------------------
 
 
+def _bound(report: dict, name: str) -> dict:
+    return next(r for r in report["bounds"] if r["name"] == name)
+
+
 def test_report_on_c4k():
     rep = bounds_report(gen_c4k(2), instance_id="c4k:2")
-    assert rep.exact_dim == 3 and rep.exact_pd == 3
-    assert rep.violations == ()
+    assert rep["exact"]["dim"] == 3 and rep["exact"]["pd"] == 3
+    assert rep["violations"] == []
     # Per-tree leaf scores: deleting the edge between the two bare cycle
     # vertices leaves the loosest sandwich, 1 <= dim <= 4.
-    leaves_detail = rep.record("dim_vs_tree_leaves.lower").detail
+    leaves_detail = _bound(rep, "dim_vs_tree_leaves.lower")["detail"]
     assert leaves_detail["1-2"] == 3 and leaves_detail["0-1"] == 2
-    assert rep.record("dim_vs_tree_leaves.lower").value == 1
-    assert rep.record("dim_vs_tree_leaves.upper").value == 3
+    assert _bound(rep, "dim_vs_tree_leaves.lower")["value"] == 1
+    assert _bound(rep, "dim_vs_tree_leaves.upper")["value"] == 3
     # Tightness at the tree that deletes the edge (0, 3).
-    assert leaves_detail["0-3"] + 1 == rep.exact_dim
-    assert rep.record("pd_vs_dim").value == 4
-    assert rep.record("dim_pendant_support").applicable is False
+    assert leaves_detail["0-3"] + 1 == rep["exact"]["dim"]
+    assert _bound(rep, "pd_vs_dim")["value"] == 4
+    assert _bound(rep, "dim_pendant_support")["applicable"] is False
 
 
 def test_report_on_sun3():
     rep = bounds_report(gen_sun(3), instance_id="sun:3")
-    assert rep.record("pd_kappa_tau").value == 7
-    assert rep.record("pd_pendant_support").value == 7
-    assert rep.record("pd_vs_tree_leaves").value == 8
-    assert rep.violations == ()
-    assert rep.certificates["kappa-tau"].verified
-    assert rep.certificates["pendant-set"].verified
-    assert rep.certificates["xi-theta"].verified
+    assert _bound(rep, "pd_kappa_tau")["value"] == 7
+    assert _bound(rep, "pd_pendant_support")["value"] == 7
+    assert _bound(rep, "pd_vs_tree_leaves")["value"] == 8
+    assert rep["violations"] == []
+    assert rep["certificates"]["kappa-tau"]["verified"]
+    assert rep["certificates"]["pendant-set"]["verified"]
+    assert rep["certificates"]["xi-theta"]["verified"]
 
 
 def test_report_on_cycle():
     rep = bounds_report(gen_cycle(6), instance_id="cycle:6")
-    assert rep.exact_pd == 3
-    assert rep.record("pd_vs_dim").value == 3
-    assert rep.record("pd_unit_terminal").applicable
-    assert rep.record("pd_unit_terminal").satisfied
-    assert rep.certificates["cycle-partition"].verified
-    assert "xi-theta" not in rep.certificates
+    assert rep["exact"]["pd"] == 3
+    assert _bound(rep, "pd_vs_dim")["value"] == 3
+    assert _bound(rep, "pd_unit_terminal")["applicable"]
+    assert _bound(rep, "pd_unit_terminal")["satisfied"]
+    assert rep["certificates"]["cycle-partition"]["verified"]
+    assert "xi-theta" not in rep["certificates"]
 
 
 def test_report_json_shape():
     rep = bounds_report(gen_c4k(2), instance_id="c4k:2")
-    payload = rep.to_json()
-    assert set(payload) == {
+    assert set(rep) == {
         "instance", "n", "kind", "cycle", "invariants", "exact",
         "bounds", "violations", "certificates",
     }
-    assert payload["invariants"]["epsilon_deleted_edge"] == [0, 1]
-    json.dumps(payload)  # must be serializable
+    assert rep["invariants"]["epsilon_deleted_edge"] == [0, 1]
+    json.dumps(rep)  # must be serializable
+
+
+def test_reports_and_scans_are_their_json_payloads():
+    # Each result is exactly the JSON its command prints: no tuple, int key,
+    # partition or dataclass survives in it.
+    classes = (
+        (f"n{n}#{i}", u) for n in range(3, 7) for i, u in enumerate(gen_exhaustive_unicyclic(n))
+    )
+    results = [
+        bounds_report(gen_c4k(3)),
+        tree_report(gen_path(1)),
+        tree_report(gen_path(6)),
+        conjecture_scan(classes),
+    ]
+    for result in results:
+        assert json.loads(json.dumps(result)) == result
 
 
 RECORD_NAMES = {
@@ -263,16 +282,16 @@ RECORD_NAMES = {
 def test_reports_emit_the_same_record_names_for_both_kinds():
     uni = bounds_report(gen_c4k(2))
     tree = tree_report(gen_path(5))
-    assert {r.name for r in uni.records} == RECORD_NAMES
-    assert {r.name for r in tree.records} == RECORD_NAMES
+    assert {r["name"] for r in uni["bounds"]} == RECORD_NAMES
+    assert {r["name"] for r in tree["bounds"]} == RECORD_NAMES
 
 
 def test_report_without_constructions():
     rep = bounds_report(gen_sun(3))
-    assert rep.record("pd_kappa_tau").value == 7
-    assert rep.violations == ()
-    assert sorted(rep.certificates) == ["kappa-tau", "pendant-set", "xi-theta"]
-    assert all(cert.verified for cert in rep.certificates.values())
+    assert _bound(rep, "pd_kappa_tau")["value"] == 7
+    assert rep["violations"] == []
+    assert sorted(rep["certificates"]) == ["kappa-tau", "pendant-set", "xi-theta"]
+    assert all(cert["verified"] for cert in rep["certificates"].values())
 
 
 def test_report_builds_each_distance_matrix_and_the_spanning_trees_once(monkeypatch):
@@ -320,20 +339,20 @@ def test_report_runs_terminal_profiles_once_per_graph(monkeypatch):
 
 def test_tree_report_on_path():
     rep = tree_report(gen_path(6), instance_id="path:6")
-    assert rep.exact_dim == 1 and rep.exact_pd == 2
-    assert rep.record("tree_dim_formula").applicable is False
-    assert rep.record("pd_path_exact").satisfied
-    assert rep.record("dim_vs_tree_dim.lower").applicable is False
-    assert rep.violations == ()
+    assert rep["exact"]["dim"] == 1 and rep["exact"]["pd"] == 2
+    assert _bound(rep, "tree_dim_formula")["applicable"] is False
+    assert _bound(rep, "pd_path_exact")["satisfied"]
+    assert _bound(rep, "dim_vs_tree_dim.lower")["applicable"] is False
+    assert rep["violations"] == []
 
 
 def test_tree_report_on_branching_tree():
     t = graph_from_edges(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)])
     rep = tree_report(t, instance_id="tree")
     inv = graph_invariants(t)
-    assert rep.record("tree_dim_formula").value == inv.n1 - inv.ex
-    assert rep.record("tree_dim_formula").satisfied
-    assert rep.record("pd_min_nonpath").satisfied
+    assert _bound(rep, "tree_dim_formula")["value"] == inv.n1 - inv.ex
+    assert _bound(rep, "tree_dim_formula")["satisfied"]
+    assert _bound(rep, "pd_min_nonpath")["satisfied"]
 
 
 def test_tree_report_rejects_non_trees():
@@ -343,9 +362,11 @@ def test_tree_report_rejects_non_trees():
 
 def test_tree_report_on_single_vertex():
     rep = tree_report(gen_path(1))
-    assert rep.exact_dim == 0 and rep.exact_pd == 1
-    assert rep.record("pd_path_exact").applicable is False
-    assert rep.violations == ()
+    assert rep["exact"]["dim"] == 0 and rep["exact"]["pd"] == 1
+    # dim 0 has the empty witness; null would mean "above the cap".
+    assert rep["exact"]["dim_witness"] == []
+    assert _bound(rep, "pd_path_exact")["applicable"] is False
+    assert rep["violations"] == []
 
 
 # -- conjecture scan -----------------------------------------------------------------
@@ -353,22 +374,19 @@ def test_tree_report_on_single_vertex():
 
 def test_scan_on_cycles():
     result = conjecture_scan((f"cycle:{n}", gen_cycle(n)) for n in range(3, 10))
-    assert result.count == 7
-    assert all(rec["pd"] == 3 for rec in result.records)
-    assert all(entry["pd"] == 2 for rec in result.records for entry in rec["trees"])
-    assert all(rec["max_gap"] == 1 for rec in result.records)
-    assert result.conjecture_violations == ()
-    assert result.proposition_violations == ()
-    assert result.gap_histogram == {1: sum(r["n"] for r in result.records)}
+    assert result["count"] == 7
+    assert all(rec["pd"] == 3 for rec in result["records"])
+    assert all(entry["pd"] == 2 for rec in result["records"] for entry in rec["trees"])
+    assert all(rec["max_gap"] == 1 for rec in result["records"])
+    assert result["conjecture_violations"] == []
+    assert result["proposition_violations"] == []
+    assert result["gap_histogram"] == {"1": sum(r["n"] for r in result["records"])}
 
 
 def test_scan_records_are_the_json_rows():
-    # to_json prints the rows the result holds, not copies, and a row is
-    # made of strings, ints, lists and dicts only: no partition object.
+    # A row is made of strings, ints, lists and dicts only: no partition object.
     result = conjecture_scan([("c4k:2", gen_c4k(2)), ("sun:3", gen_sun(3))])
-    printed = result.to_json()["records"]
-    assert len(printed) == len(result.records) == 2
-    assert all(a is b for a, b in zip(printed, result.records))
+    assert len(result["records"]) == result["count"] == 2
 
     def plain(value) -> bool:
         if isinstance(value, list):
@@ -377,7 +395,7 @@ def test_scan_records_are_the_json_rows():
             return all(isinstance(k, str) and plain(v) for k, v in value.items())
         return type(value) in (str, int)
 
-    assert all(plain(row) for row in result.records)
+    assert all(plain(row) for row in result["records"])
 
 
 def test_scan_is_deterministic_and_parallel_safe():
@@ -385,7 +403,7 @@ def test_scan_is_deterministic_and_parallel_safe():
     a = conjecture_scan(instances)
     b = conjecture_scan(instances)
     c = conjecture_scan(instances, jobs=2)
-    assert json.dumps(a.to_json()) == json.dumps(b.to_json()) == json.dumps(c.to_json())
+    assert json.dumps(a) == json.dumps(b) == json.dumps(c)
 
 
 def test_scan_cap_exceeded_names_the_instance():
@@ -411,7 +429,7 @@ def test_scan_keeps_no_graph_of_the_stream():
         freed = [ref() for ref in alive]
     finally:
         gc.enable()
-    assert result.count == len(alive) == 4
+    assert result["count"] == len(alive) == 4
     assert freed == [None] * 4
 
 
@@ -456,12 +474,12 @@ def test_scan_pool_is_capped_at_the_cpu_count(monkeypatch, inline_pool, cpus, wo
     instances = [("c4", gen_cycle(4)), ("c5", gen_cycle(5))]
     result = conjecture_scan(instances, jobs=100_000)
     assert started == workers
-    assert [rec["instance"] for rec in result.records] == ["c4", "c5"]
+    assert [rec["instance"] for rec in result["records"]] == ["c4", "c5"]
     # A process confined to one CPU (taskset, a cpuset) scans inline,
     # whatever the host's CPU count.
     started.clear()
     monkeypatch.setattr(udim.verification.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert conjecture_scan(instances, jobs=100_000).to_json() == result.to_json()
+    assert conjecture_scan(instances, jobs=100_000) == result
     assert started == []
 
 
@@ -478,15 +496,15 @@ def test_scan_in_workers_draws_a_bounded_stream(monkeypatch, inline_pool):
 
     result = conjecture_scan(instances(), jobs=2)
     assert inline_pool["started"] == [2]
-    assert [rec["instance"] for rec in result.records] == [f"c{i}" for i in range(40)]
+    assert [rec["instance"] for rec in result["records"]] == [f"c{i}" for i in range(40)]
     assert max(ahead) == 15
-    assert result.to_json() == conjecture_scan(instances()).to_json()
+    assert result == conjecture_scan(instances())
 
 
 def test_scan_tree_entries_follow_cycle_edge_order():
     u = gen_c4k(2)
     result = conjecture_scan([("instance:0", u)])
-    edges = [tuple(e["deleted_edge"]) for e in result.records[0]["trees"]]
+    edges = [tuple(e["deleted_edge"]) for e in result["records"][0]["trees"]]
     assert edges == list(u.cycle_edges())
 
 
@@ -498,12 +516,12 @@ def test_tree_class_memo_leaves_the_scan_unchanged(monkeypatch, unicyclic_classe
         [(f"n{n}/seed{s}", gen_random_unicyclic(n, seed=s)) for s in range(10)]
         for n in (10, 11, 12)
     ]
-    memo = [json.dumps(conjecture_scan(f, jobs=jobs).to_json()) for f in families for jobs in (1, 2)]
+    memo = [json.dumps(conjecture_scan(f, jobs=jobs)) for f in families for jobs in (1, 2)]
     solve = udim.verification.partition_dimension_exact
     monkeypatch.setattr(
         udim.verification, "partition_dimension_exact", lambda dm, cap, start=1: solve(dm, cap)
     )
-    scratch = [json.dumps(conjecture_scan(f).to_json()) for f in families]
+    scratch = [json.dumps(conjecture_scan(f)) for f in families]
     assert memo == [text for text in scratch for _ in (1, 2)]
 
 
@@ -533,7 +551,7 @@ def test_a_known_tree_class_searches_only_its_pd_level(monkeypatch):
         per_instance.append(levels)
 
     result = conjecture_scan(instances())
-    assert [e["pd"] for rec in result.records for e in rec["trees"]] == [3] * 8
+    assert [e["pd"] for rec in result["records"] for e in rec["trees"]] == [3] * 8
     # G, then the trees: the first of each class climbs from t = 2.
     assert per_instance[0] == [2, 3] + [2, 3, 3] + [2, 3, 3]
     # Every tree of the relabelled copy enumerates its pd level alone.
