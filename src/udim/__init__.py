@@ -40,7 +40,6 @@ from .graphs import (
     validate_unicyclic,
 )
 from .invariants import (
-    GraphInvariants,
     TerminalProfile,
     epsilon,
     exterior_major_count,

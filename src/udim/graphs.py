@@ -243,9 +243,8 @@ def validate_unicyclic(g: Graph) -> UnicyclicGraph:
                 degree[v] -= 1
                 if degree[v] == 1:
                     queue.append(v)
+    # Connected with |E| = |V|: exactly one cycle is left, each vertex of degree 2.
     core = [v for v in range(g.n) if alive[v]]
-    if len(core) < 3 or any(degree[v] != 2 for v in core):
-        raise NotUnicyclicError("cycle extraction failed; graph is not unicyclic")
     core_set = set(core)
     c0 = min(core)
     nbrs = [v for v in g.adjacency[c0] if v in core_set]

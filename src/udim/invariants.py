@@ -33,26 +33,6 @@ class TerminalProfile:
         return len(self.terminals)
 
 
-@dataclass(frozen=True)
-class GraphInvariants:
-    """The structural counts the bound chain is stated in.
-
-    ``epsilon`` and the deleted edge of its spanning tree are only defined
-    for unicyclic graphs, ``xi``/``theta`` only for trees; the fields are
-    None when they do not apply.
-    """
-
-    n1: int
-    ex: int
-    rho: int
-    kappa: int
-    tau: int
-    epsilon: int | None = None
-    epsilon_deleted_edge: tuple[int, int] | None = None
-    xi: int | None = None
-    theta: int | None = None
-
-
 def pendant_vertices(g: Graph) -> frozenset[int]:
     """The degree-1 vertices."""
     return frozenset(v for v in range(g.n) if g.degree(v) == 1)
@@ -166,22 +146,24 @@ def epsilon(u: UnicyclicGraph) -> tuple[int, SpanningTree]:
     return (leaves, tree)
 
 
-def graph_invariants(g: Graph, unicyclic: UnicyclicGraph | None = None) -> GraphInvariants:
-    """Aggregate all counts that apply to a graph.
+def graph_invariants(g: Graph, unicyclic: UnicyclicGraph | None = None) -> dict:
+    """The counts the bound chain is stated in, as a bounds report's ``invariants``.
 
-    Pass the validated UnicyclicGraph to get epsilon and its tree's deleted
-    edge; xi/theta are filled in automatically when the graph is a tree.
+    ``epsilon`` and the deleted edge of its spanning tree are only defined
+    for unicyclic graphs (pass the validated UnicyclicGraph), ``xi``/``theta``
+    only for trees; they are None when they do not apply.
     """
-    n1 = len(pendant_vertices(g))
-    ex = exterior_major_count(g)
     k, t = kappa_tau(g)
     eps, eps_tree = unicyclic.epsilon if unicyclic is not None else (None, None)
-    if is_tree(g):
-        xi_val, theta_val = xi_theta(g)
-    else:
-        xi_val = theta_val = None
-    return GraphInvariants(
-        n1=n1, ex=ex, rho=rho(g), kappa=k, tau=t,
-        epsilon=eps, epsilon_deleted_edge=eps_tree and eps_tree.deleted_edge,
-        xi=xi_val, theta=theta_val,
-    )
+    xi, theta = xi_theta(g) if is_tree(g) else (None, None)
+    return {
+        "n1": len(pendant_vertices(g)),
+        "ex": exterior_major_count(g),
+        "rho": rho(g),
+        "kappa": k,
+        "tau": t,
+        "epsilon": eps,
+        "epsilon_deleted_edge": list(eps_tree.deleted_edge) if eps_tree is not None else None,
+        "xi": xi,
+        "theta": theta,
+    }

@@ -13,6 +13,7 @@ import random
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache, partial
+from operator import eq, ge, le
 from typing import Iterable, Iterator, Sequence
 
 from .constructions import CONSTRUCTIONS, CertifiedConstruction
@@ -25,7 +26,6 @@ from .graphs import (
     validate_unicyclic,
 )
 from .invariants import (
-    GraphInvariants,
     exterior_major_count,
     graph_invariants,
     kappa_tau,
@@ -265,48 +265,8 @@ BOUNDS = (
 )
 
 
-def _satisfied(kind: str, value: int | None, exact: int | None) -> bool | None:
-    if value is None or exact is None:
-        return None
-    if kind == "lower":
-        return exact >= value
-    if kind == "upper":
-        return exact <= value
-    return exact == value
-
-
-def _bound_records(
-    rows: Sequence[tuple],
-    exact: dict,
-    certified: dict[str, str] | None = None,
-) -> list[dict]:
-    """The JSON records of (name, value, applicable[, detail]) rows, in row
-    order, then every other bound of BOUNDS as a not-applicable placeholder.
-
-    ``exact`` is the report's ``exact`` payload, read at each record's target
-    ("dim", "pd"), and ``certified`` maps a bound name to the certificate
-    that backs it.
-    """
-    certified = certified or {}
-    evaluated = {row[0] for row in rows}
-    placeholders = [(name, None, False) for name, _, _ in BOUNDS if name not in evaluated]
-    targets = {name: (target, kind) for name, target, kind in BOUNDS}
-    records = []
-    for name, value, applicable, *detail in [*rows, *placeholders]:
-        target, kind = targets[name]
-        records.append(
-            {
-                "name": name,
-                "target": target,
-                "kind": kind,
-                "value": value,
-                "applicable": applicable,
-                "satisfied": _satisfied(kind, value, exact[target]) if applicable else None,
-                "certificate": certified.get(name),
-                "detail": detail[0] if detail else None,
-            }
-        )
-    return records
+# Whether a bound of each kind holds: the operator takes (exact, value).
+_HOLDS = {"lower": ge, "upper": le, "equal": eq}
 
 
 def _exact(g: Graph, dim_cap: int, pd_cap: int) -> dict:
@@ -332,42 +292,57 @@ def _report(
     kind: str,
     g: Graph,
     cycle: tuple[int, ...] | None,
-    inv: GraphInvariants,
+    invariants: dict,
     exact: dict,
-    records: list[dict],
+    rows: Sequence[tuple],
     certificates: dict[str, CertifiedConstruction],
 ) -> dict:
     """The JSON payload of a bounds report (README, "JSON schemas").
 
+    ``bounds`` holds a record per (name, value, applicable[, detail]) row, in
+    row order, then a not-applicable placeholder per other bound of BOUNDS;
+    ``certificates`` maps a bound name to the certificate that backs it.
     ``violations`` lists the applicable bounds that failed, then
     ``certificate:<name>`` for each certificate that did not verify.
     """
-    violations = [r["name"] for r in records if r["applicable"] and r["satisfied"] is False]
+    evaluated = {row[0] for row in rows}
+    placeholders = [(name, None, False) for name, _, _ in BOUNDS if name not in evaluated]
+    targets = {name: (target, how) for name, target, how in BOUNDS}
+    records = []
+    violations = []
+    for name, value, applicable, *detail in [*rows, *placeholders]:
+        target, how = targets[name]
+        decided = applicable and value is not None and exact[target] is not None
+        satisfied = _HOLDS[how](exact[target], value) if decided else None
+        if satisfied is False:
+            violations.append(name)
+        cert = certificates.get(name)
+        records.append(
+            {
+                "name": name,
+                "target": target,
+                "kind": how,
+                "value": value,
+                "applicable": applicable,
+                "satisfied": satisfied,
+                "certificate": cert.name if cert is not None else None,
+                "detail": detail[0] if detail else None,
+            }
+        )
     violations.extend(
-        f"certificate:{name}" for name, cert in certificates.items() if not cert.verified
+        f"certificate:{cert.name}" for cert in certificates.values() if not cert.verified
     )
     return {
         "instance": instance_id,
         "n": g.n,
         "kind": kind,
         "cycle": list(cycle) if cycle is not None else None,
-        "invariants": {
-            name: list(value) if isinstance(value, tuple) else value
-            for name, value in vars(inv).items()
-        },
+        "invariants": invariants,
         "exact": exact,
         "bounds": records,
         "violations": violations,
-        "certificates": {name: cert.to_json() for name, cert in certificates.items()},
+        "certificates": {cert.name: cert.to_json() for cert in certificates.values()},
     }
-
-
-def _tree_dim(g: Graph, dim_cap: int) -> int:
-    """Exact dim of a tree when within cap, else the leaf/exterior formula."""
-    if g.n <= dim_cap:
-        return metric_dimension_exact(g.distances, cap=dim_cap)[0]
-    ex = exterior_major_count(g)
-    return 1 if ex == 0 else len(pendant_vertices(g)) - ex
 
 
 def bounds_report(
@@ -395,8 +370,13 @@ def bounds_report(
     for tree in u.spanning_trees:
         tg = tree.graph
         label = f"{tree.deleted_edge[0]}-{tree.deleted_edge[1]}"
-        dim_detail[label] = _tree_dim(tg, dim_cap)
-        leaf_detail[label] = len(pendant_vertices(tg)) - exterior_major_count(tg)
+        ex = exterior_major_count(tg)
+        leaf_detail[label] = len(pendant_vertices(tg)) - ex
+        # Above the cap dim(T) is the tree formula: 1 for a path, else n1 - ex.
+        if tg.n <= dim_cap:
+            dim_detail[label] = metric_dimension_exact(tg.distances, cap=dim_cap)[0]
+        else:
+            dim_detail[label] = leaf_detail[label] if ex else 1
     tree_dims = dim_detail.values()
     leaf_scores = leaf_detail.values()
 
@@ -404,19 +384,18 @@ def bounds_report(
     xi_T, theta_T = xi_theta(eps_tree.graph)
     xi_theta_T = {"xi_T": xi_T, "theta_T": theta_T}
 
+    # Keyed by the bound each backs: the cycle and unit-terminal ones never both apply.
     certificates: dict[str, CertifiedConstruction] = {}
-    certified: dict[str, str] = {}
     for _, build, bound in CONSTRUCTIONS:
         try:
-            cert = build(u)
+            certificates[bound] = build(u)
         except PreconditionError:
             continue
-        certificates[cert.name] = cert
-        certified[bound] = cert.name
 
     # A construction's precondition is the hypothesis of the bound it backs.
-    pendant = "dim_pendant_support" in certified
-    records = _bound_records(
+    pendant = "dim_pendant_support" in certificates
+    return _report(
+        instance_id, "unicyclic", g, u.cycle, inv, exact,
         [
             ("dim_vs_tree_dim.lower", max(tree_dims) - 2, True, dim_detail),
             ("dim_vs_tree_dim.upper", min(tree_dims) + 1, True, dim_detail),
@@ -425,10 +404,10 @@ def bounds_report(
             ("pd_vs_dim", exact["dim"] + 1 if exact["dim"] is not None else None, True),
             ("pd_vs_tree_leaves", min(leaf_scores) + 2, True, leaf_detail),
             ("pd_min_nonpath", 3, True),
-            ("dim_pendant_support", inv.n1 - inv.rho, pendant),
-            ("pd_pendant_support", inv.n1 - inv.rho + 1, pendant),
-            ("pd_unit_terminal", 3, inv.kappa == 0),
-            ("pd_kappa_tau", inv.kappa + inv.tau + 1, "pd_kappa_tau" in certified),
+            ("dim_pendant_support", inv["n1"] - inv["rho"], pendant),
+            ("pd_pendant_support", inv["n1"] - inv["rho"] + 1, pendant),
+            ("pd_unit_terminal", 3, inv["kappa"] == 0),
+            ("pd_kappa_tau", inv["kappa"] + inv["tau"] + 1, "pd_kappa_tau" in certificates),
             (
                 "pd_kappa_tau_tree", kappa_T + tau_T + 1, kappa_T >= 1,
                 {"kappa_T": kappa_T, "tau_T": tau_T},
@@ -440,10 +419,8 @@ def bounds_report(
             ("tree_dim_formula", None, False),
             ("pd_path_exact", 2, False),
         ],
-        exact,
-        certified,
+        certificates,
     )
-    return _report(instance_id, "unicyclic", g, u.cycle, inv, exact, records, certificates)
 
 
 def tree_report(
@@ -458,18 +435,18 @@ def tree_report(
         raise UdimError("tree_report needs a tree")
     inv = graph_invariants(g)
     exact = _exact(g, dim_cap, pd_cap)
-    is_path = inv.ex == 0
+    is_path = inv["ex"] == 0
     # The pd-of-a-path rule needs at least two vertices; a lone vertex has pd 1.
-    records = _bound_records(
+    return _report(
+        instance_id, "tree", g, None, inv, exact,
         [
-            ("tree_dim_formula", None if is_path else inv.n1 - inv.ex, not is_path),
+            ("tree_dim_formula", None if is_path else inv["n1"] - inv["ex"], not is_path),
             ("pd_vs_dim", exact["dim"] + 1 if exact["dim"] is not None else None, True),
             ("pd_path_exact", 2, is_path and g.n >= 2),
             ("pd_min_nonpath", 3, not is_path),
         ],
-        exact,
+        {},
     )
-    return _report(instance_id, "tree", g, None, inv, exact, records, {})
 
 
 # -- conjecture scanner --------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import udim.cli
-from udim import OrderedPartition
+from udim import OrderedPartition, UdimError
 from udim.cli import main
 
 
@@ -55,22 +55,29 @@ def test_analyze_json_prints_the_empty_dim_witness(capsys):
 
 
 def test_analyze_reports_a_broken_bound(monkeypatch, capsys):
-    # pd(C6) = 3 = dim + 1 meets pd_vs_dim; read as 4, it breaks that bound
-    # and the two others whose value is 3.
     solve = udim.verification.partition_dimension_exact
 
-    def one_higher(dm, cap):
+    def shifted(dm, cap):
         pd, witness = solve(dm, cap)
-        return pd + 1, witness
+        return pd + shift, witness
 
-    monkeypatch.setattr(udim.verification, "partition_dimension_exact", one_higher)
-    broken = ["pd_vs_dim", "pd_unit_terminal", "pd_support_leaf.upper"]
-    code, out = run(capsys, "analyze", "--gen", "cycle:6", "--format", "json")
-    assert code == 2
-    assert json.loads(out)["violations"] == broken
-    code, out = run(capsys, "analyze", "--gen", "cycle:6")
-    assert code == 2
-    assert out.endswith(f"violations: {', '.join(broken)}\n")
+    monkeypatch.setattr(udim.verification, "partition_dimension_exact", shifted)
+    cases = [
+        # pd(C6) = 3 = dim + 1 meets pd_vs_dim and pd >= 3 with equality.
+        (0, []),
+        # Read as 4, it breaks pd_vs_dim and the two other upper or equal
+        # bounds whose value is 3.
+        (1, ["pd_vs_dim", "pd_unit_terminal", "pd_support_leaf.upper"]),
+        # Read as 2, it breaks the lower bound pd >= 3 and the equality.
+        (-1, ["pd_min_nonpath", "pd_unit_terminal"]),
+    ]
+    for shift, broken in cases:
+        code, out = run(capsys, "analyze", "--gen", "cycle:6", "--format", "json")
+        assert code == (2 if broken else 0)
+        assert json.loads(out)["violations"] == broken
+        code, out = run(capsys, "analyze", "--gen", "cycle:6")
+        assert code == (2 if broken else 0)
+        assert out.endswith(f"violations: {', '.join(broken) or 'none'}\n")
 
 
 def test_analyze_reports_an_unverified_certificate(monkeypatch, capsys):
@@ -245,6 +252,24 @@ def test_verify_malformed_partition(tmp_path, capsys):
     assert "vertex 1 is in no part" in capsys.readouterr().err
     part.write_text("0 0\n1 2\n")  # a vertex listed twice in one part
     assert run(capsys, "verify", str(part), "--gen", "path:3")[0] == 1
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("0 1\n2 x\n", r"p\.txt:2: non-integer vertex id$"),
+        ("# a comment, then a blank line\n\n", r"p\.txt: no parts found$"),
+        ("0 1\n2 4\n", r"p\.txt: vertex 4 outside 0\.\.3$"),
+    ],
+    ids=["non-integer", "no-parts", "vertex-outside"],
+)
+def test_verify_rejects_a_malformed_partition_file(tmp_path, capsys, text, match):
+    part = tmp_path / "p.txt"
+    part.write_text(text)
+    with pytest.raises(UdimError, match=match):
+        udim.cli._parse_partition_file(str(part), 4)
+    assert main(["verify", str(part), "--gen", "cycle:4"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_scan_exhaustive(capsys):

@@ -102,6 +102,20 @@ def test_graph_from_edges_rejects_bad_ids():
         graph_from_edges(3, [(0, 3)])
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: graph_from_edges(3, [(0, 1), (1, 1)]), r"^self-loop at vertex 1$"),
+        (lambda: graph_from_edges(3, [(0, 1), (2, 1), (1, 0)]), r"^duplicate edge 0 1$"),
+        (lambda: parse_edge_list("0 1\n-1 2\n"), r"^line 2: negative vertex id in '-1 2'$"),
+    ],
+    ids=["self-loop", "duplicate", "negative-id"],
+)
+def test_malformed_edges_are_rejected(build, match):
+    with pytest.raises(GraphFormatError, match=match):
+        build()
+
+
 # -- distances ------------------------------------------------------------
 
 

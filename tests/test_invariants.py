@@ -211,21 +211,21 @@ def test_non_path_trees_have_an_exterior_major(tree_classes):
 def test_graph_invariants_aggregate():
     u = gen_c4k(2)
     inv = graph_invariants(u.graph, unicyclic=u)
-    assert (inv.n1, inv.ex, inv.rho, inv.kappa, inv.tau) == (2, 1, 1, 1, 2)
-    assert inv.epsilon == 3
-    assert inv.xi is None  # not a tree
+    assert [inv[k] for k in ("n1", "ex", "rho", "kappa", "tau")] == [2, 1, 1, 1, 2]
+    assert inv["epsilon"] == 3
+    assert inv["xi"] is None  # not a tree
     tree = next(t for t in spanning_trees(u) if t.deleted_edge == (0, 3))
     tinv = graph_invariants(tree.graph)
-    assert (tinv.xi, tinv.theta) == (2, 2)
-    assert tinv.epsilon is None
+    assert (tinv["xi"], tinv["theta"]) == (2, 2)
+    assert tinv["epsilon"] is None
 
 
 def test_invariant_consistency_on_exhaustive_classes(unicyclic_classes):
     for n in range(3, 9):
         for u in unicyclic_classes[n]:
             inv = graph_invariants(u.graph, unicyclic=u)
-            assert inv.n1 >= inv.rho >= 0
-            assert inv.kappa <= inv.ex
-            assert (inv.tau == 0) == (inv.kappa == 0)
-            if inv.n1 == 0:
-                assert inv.ex == 0
+            assert inv["n1"] >= inv["rho"] >= 0
+            assert inv["kappa"] <= inv["ex"]
+            assert (inv["tau"] == 0) == (inv["kappa"] == 0)
+            if inv["n1"] == 0:
+                assert inv["ex"] == 0

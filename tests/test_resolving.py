@@ -79,6 +79,23 @@ def test_set_representation():
             set_representation(dm, landmarks, v)
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda dm: partition_representation(dm, op({0, 1}, {2, 3}), 4), r"^vertex 4 outside"),
+        (lambda dm: partition_representation(dm, op({0, 1}, {2, 3}), -1), r"^vertex -1 outside"),
+        (lambda dm: set_representation(dm, (0, 4), 1), r"^vertex 4 outside"),
+        (lambda dm: check_resolving_set(dm, [0, 4]), r"^landmark outside"),
+        (lambda dm: check_resolving_set(dm, [-1, 2]), r"^landmark outside"),
+    ],
+    ids=["partition-high", "partition-low", "set-landmark", "check-high", "check-low"],
+)
+def test_ids_outside_the_graph_are_rejected(call, match):
+    dm = all_pairs_distances(gen_path(4))
+    with pytest.raises(InvalidPartitionError, match=match + r" 0\.\.3$"):
+        call(dm)
+
+
 # -- checkers ----------------------------------------------------------------
 
 

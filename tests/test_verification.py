@@ -160,6 +160,22 @@ def test_trees_are_trees_and_distinct():
     assert all(is_tree(t) for t in trees)
 
 
+@pytest.mark.parametrize(
+    "generate, match",
+    [
+        (lambda: gen_path(0), "a path needs at least one vertex"),
+        (lambda: gen_cycle(2), "a cycle needs at least three vertices"),
+        (lambda: gen_random_unicyclic(2, 0), "a unicyclic graph needs at least three vertices"),
+        # A generator function: the check runs when the first tree is drawn.
+        (lambda: next(gen_exhaustive_trees(0)), "trees need at least one vertex"),
+    ],
+    ids=["path", "cycle", "random-unicyclic", "exhaustive-trees"],
+)
+def test_generators_reject_too_few_vertices(generate, match):
+    with pytest.raises(UdimError, match=f"^{match}$"):
+        generate()
+
+
 # -- random generation ---------------------------------------------------------------
 
 
@@ -254,12 +270,16 @@ def test_report_json_shape():
 
 
 def test_reports_and_scans_are_their_json_payloads():
-    # Each result is exactly the JSON its command prints: no tuple, int key,
-    # partition or dataclass survives in it.
+    # Each result is exactly the JSON its command prints (graph_invariants: a
+    # report's invariants object): no tuple, int key, partition or dataclass
+    # survives in it.
     classes = (
         (f"n{n}#{i}", u) for n in range(3, 7) for i, u in enumerate(gen_exhaustive_unicyclic(n))
     )
+    c4k = gen_c4k(2)
     results = [
+        graph_invariants(c4k.graph, unicyclic=c4k),
+        graph_invariants(c4k.spanning_trees[0].graph),
         bounds_report(gen_c4k(3)),
         tree_report(gen_path(1)),
         tree_report(gen_path(6)),
@@ -350,7 +370,7 @@ def test_tree_report_on_branching_tree():
     t = graph_from_edges(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)])
     rep = tree_report(t, instance_id="tree")
     inv = graph_invariants(t)
-    assert _bound(rep, "tree_dim_formula")["value"] == inv.n1 - inv.ex
+    assert _bound(rep, "tree_dim_formula")["value"] == inv["n1"] - inv["ex"]
     assert _bound(rep, "tree_dim_formula")["satisfied"]
     assert _bound(rep, "pd_min_nonpath")["satisfied"]
 
