@@ -2,16 +2,18 @@
 
 The checkers are deliberately simple and independent of the solvers; every
 construction in the package is post-verified through them.  Both exact
-solvers decide one rule, stated once in ``_ties``: landmarks or parts resolve
-the graph iff no vertex pair u < v is tied on every coordinate of r(.).  They
-try landmark subsets, or partitions as restricted-growth strings (the rule is
+solvers decide one rule: landmarks or parts resolve the graph iff the
+vectors r(v) are pairwise distinct.  The dim side checks it as ties, no
+vertex pair u < v equal on every landmark (``_ties``); the pd side packs each
+r(v) into one integer code and sorts the codes (``_eval_block``).  They try
+landmark subsets, or partitions as restricted-growth strings (the rule is
 invariant under reordering blocks), in lexicographic order, and the first
 resolving one is the witness.  Both walk their prefixes depth-first.  The
 dim search recurses, one level per landmark, carrying each subset prefix's
 AND of tie bitmasks down the walk.  The pd search keeps an explicit stack,
 because a string is as deep as the graph has vertices (1,099 for a path at
 ``--pd-cap 1100``), and hands each string prefix's tails to a vectorized
-evaluator.
+evaluator that reads d(v, P) from one subset-distance table per graph.
 
 The twin order: the pd search builds only partitions whose labels strictly
 increase along each class of distance twins (pairs only their own two
@@ -173,8 +175,11 @@ def _ties(values: np.ndarray) -> np.ndarray:
 
 
 def _row_limit(n: int) -> int:
-    """_BLOCK, shrinking with n**2 above DEFAULT_PD_CAP so that rows x n x n
-    temporaries never outgrow those at n = DEFAULT_PD_CAP."""
+    """_BLOCK, shrinking with n**2 above DEFAULT_PD_CAP so that temporaries
+    of rows x n x n entries never outgrow those at n = DEFAULT_PD_CAP: the
+    pairwise ties of a chunk of landmarks, and a pd block's rows x t x n
+    one-hot and rows x nc x n distances gathered from the table's nc chunks
+    (t, nc <= n)."""
     return max(1, min(_BLOCK, _BLOCK * DEFAULT_PD_CAP**2 // n**2))
 
 
@@ -324,13 +329,66 @@ def _rgs_blocks(n: int, t: int, prev: Sequence[int]) -> Iterator[np.ndarray]:
             stack.append((fixed + 1, max(mx, nxt), nxt))
 
 
-def _eval_block(block: np.ndarray, dist: np.ndarray, t: int) -> int:
-    """Index of the first resolving partition in the block, or -1: the first
-    row whose ties, ANDed over the distances to each block j, are all False."""
-    tied = True
+def _subset_table(dist: np.ndarray) -> np.ndarray:
+    """tab[c, m, v]: the distance from v to the vertices of chunk c (the w
+    consecutive vertices from c * w on) that the bits of m select, and
+    _SENTINEL for m = 0.  Subsets with top bit b are those below 2**b plus
+    the chunk's b-th vertex, so w minimum steps fill the table.
+
+    w is the widest chunk whose table, ceil(n / w) chunks of 2**w subsets,
+    holds at most as many entries as one chunk at DEFAULT_PD_CAP vertices,
+    or 2 n**2 if more: w = n up to DEFAULT_PD_CAP, and w = 1 always fits.
+    No chunk wider than DEFAULT_PD_CAP fits.
+    """
+    n = len(dist)
+    budget = max(2**DEFAULT_PD_CAP * DEFAULT_PD_CAP, 2 * n * n)
+    widths = range(1, min(n, DEFAULT_PD_CAP) + 1)
+    w = max(w for w in widths if -(-n // w) * 2**w * n <= budget)
+    nc = -(-n // w)
+    padded = np.full((nc * w, n), _SENTINEL, dtype=np.int16)
+    padded[:n] = dist
+    tab = np.full((nc, 2**w, n), _SENTINEL, dtype=np.int16)
+    for b in range(w):
+        np.minimum(tab[:, : 2**b], padded[b::w, None], out=tab[:, 2**b : 2 ** (b + 1)])
+    return tab
+
+
+def _ranks(code: np.ndarray) -> np.ndarray:
+    """Each code replaced, in place, by its rank among the distinct codes of
+    its row."""
+    order = code.argsort(axis=1)
+    ranked = np.take_along_axis(code, order, axis=1)
+    dense = np.zeros_like(code)
+    dense[:, 1:] = np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1)
+    np.put_along_axis(code, order, dense, axis=1)
+    return code
+
+
+def _eval_block(block: np.ndarray, tab: np.ndarray, t: int, base: int) -> int:
+    """Index of the first resolving partition in the block, or -1.
+
+    Each row's parts become chunk masks, which read d(v, P_j) from the table
+    as a minimum over the chunks.  The t distances of each vertex fold into
+    one int64 code, code * base + d(v, P_j), base above every distance; a fold
+    that could pass 2**62 first replaces the codes by their ranks in the row.
+    A row resolves iff its sorted codes have no equal neighbours.
+    """
+    rows, n = block.shape
+    nc, size, _ = tab.shape
+    w = size.bit_length() - 1
+    onehot = np.zeros((rows, t, nc * w), dtype=bool)
+    onehot[:, :, :n] = block[:, None, :] == np.arange(t, dtype=block.dtype)[:, None]
+    masks = onehot.reshape(rows, t, nc, w) @ (1 << np.arange(w))
+    chunks = np.arange(nc)
+    code = np.zeros((rows, n), dtype=np.int64)
+    span = 1  # every code is below span
     for j in range(t):
-        tied &= _ties(np.where((block == j)[:, :, None], dist, _SENTINEL).min(axis=1))
-    ok = ~tied.any(axis=1)
+        if span * base > 2**62:
+            code, span = _ranks(code), n
+        code = code * base + tab[chunks, masks[:, j]].min(axis=1)
+        span *= base
+    code.sort(axis=1)
+    ok = (code[:, 1:] != code[:, :-1]).all(axis=1)
     return int(np.argmax(ok)) if ok.any() else -1
 
 
@@ -344,9 +402,10 @@ def partition_dimension_exact(
     isomorphic graph: pd is an isomorphism invariant.
 
     For each t the restricted-growth strings with exactly t blocks stream in
-    lexicographic order through the pairwise-tie evaluator; the first
-    resolving one is returned, with parts ordered by smallest element.  The
-    stream skips the strings that break the twin order (module docstring).
+    lexicographic order through the packed-code evaluator, which reads the
+    graph's one subset-distance table; the first resolving one is returned,
+    with parts ordered by smallest element.  The stream skips the strings
+    that break the twin order (module docstring).
     """
     n = len(dm)
     check_cap(n, cap, "partition-dimension")
@@ -354,9 +413,10 @@ def partition_dimension_exact(
         return (1, OrderedPartition(parts=(frozenset({0}),)))
     dist = np.array(dm, dtype=np.int16)
     bound, prev = _pd_lower_bound(dist)
+    tab, base = _subset_table(dist), int(dist.max()) + 1
     for t in range(max(bound, start), n + 1):
         for block in _rgs_blocks(n, t, prev):
-            idx = _eval_block(block, dist, t)
+            idx = _eval_block(block, tab, t, base)
             if idx >= 0:
                 parts = [frozenset(np.flatnonzero(block[idx] == j).tolist()) for j in range(t)]
                 return (t, OrderedPartition(parts=tuple(parts)))

@@ -32,11 +32,14 @@ from udim import (
 from udim import resolve
 from udim.resolve import (
     _BLOCK,
+    _SENTINEL,
     DEFAULT_PD_CAP,
     _completions,
+    _eval_block,
     _landmark_ties,
     _pd_lower_bound,
     _rgs_blocks,
+    _subset_table,
     _ties,
 )
 
@@ -501,7 +504,8 @@ def test_rgs_walk_fixes_no_prefix_that_breaks_the_twin_order(monkeypatch, tree_c
 
 
 def test_rgs_blocks_shrink_above_the_default_cap():
-    # The evaluator's rows x n x n temporaries stay within those at n = 12.
+    # A block's rows x t x n one-hot and rows x nc x n distances gathered from
+    # the table's nc chunks (t, nc <= n) stay within rows x n x n at n = 12.
     for n in (13, 40, 300):
         for block in islice(_rgs_blocks(n, 2, [-1] * n), 50):
             assert 1 <= len(block) and len(block) * n * n <= _BLOCK * DEFAULT_PD_CAP**2
@@ -516,6 +520,74 @@ def test_pd_of_large_stars(k):
     pd, witness = partition_dimension_exact(dm, cap=k + 1)
     assert pd == k
     assert check_resolving_partition(dm, witness).resolving
+
+
+def _first_row_the_checker_accepts(dm, block, t) -> int:
+    for i, row in enumerate(block):
+        if check_resolving_partition(dm, op(*(np.flatnonzero(row == j) for j in range(t)))).resolving:
+            return i
+    return -1
+
+
+def _random_rgs(rnd, n, t) -> list[int]:
+    # Exactly t blocks: each label lands on a random vertex, the other vertices
+    # take random labels, and labels are renamed in order of first occurrence.
+    labels = [rnd.randrange(t) for _ in range(n)]
+    for label, v in enumerate(rnd.sample(range(n), t)):
+        labels[v] = label
+    first: dict[int, int] = {}
+    return [first.setdefault(label, len(first)) for label in labels]
+
+
+def _assert_eval_block_matches_the_checker(dm, rows, t):
+    block = np.array(rows, dtype=np.min_scalar_type(t - 1))
+    dist = np.array(dm, dtype=np.int16)
+    got = _eval_block(block, _subset_table(dist), t, int(dist.max()) + 1)
+    assert got == _first_row_the_checker_accepts(dm, block, t)
+
+
+@given(connected_graphs(max_n=20), st.randoms(), st.data())
+def test_eval_block_returns_the_first_row_the_checker_accepts(g, rnd, data):
+    # n <= 12 reads one table chunk, n = 13..20 two.  Most levels at t <= 4
+    # mix rows that resolve with rows that do not.
+    t = data.draw(st.integers(1, min(g.n, 4)) | st.integers(1, g.n))
+    rows = [_random_rgs(rnd, g.n, t) for _ in range(data.draw(st.integers(1, 12)))]
+    _assert_eval_block_matches_the_checker(all_pairs_distances(g), rows, t)
+
+
+@given(st.randoms())
+@settings(max_examples=20)
+def test_eval_block_ranks_codes_that_would_pass_62_bits(rnd):
+    # K_{1,40} at t = 40: 40 coordinates of base 3 would need 64 bits.  A row
+    # resolves iff the centre shares its part, so one such row is inserted.
+    star = all_pairs_distances(graph_from_edges(41, [(0, leaf) for leaf in range(1, 41)]))
+    rows = [_random_rgs(rnd, 41, 40) for _ in range(rnd.randrange(1, 8))]
+    rows.insert(rnd.randrange(len(rows) + 1), [0, 0, *range(1, 40)])
+    _assert_eval_block_matches_the_checker(star, rows, 40)
+    # K_66 has base 2, so unranked codes of its singletons would keep only
+    # the last 64 coordinates, and vertices 0 and 1 would tie.
+    complete = all_pairs_distances(
+        graph_from_edges(66, [(u, v) for v in range(66) for u in range(v)])
+    )
+    _assert_eval_block_matches_the_checker(complete, [list(range(66))], 66)
+
+
+@pytest.mark.parametrize("n", [2, 12, 13, 40, 300, 1100])
+def test_subset_table_is_bounded_and_holds_the_distance_to_each_chunk_subset(n):
+    dist = np.array(all_pairs_distances(gen_path(n)), dtype=np.int16)
+    tab = _subset_table(dist)
+    nc, size, _ = tab.shape
+    w = size.bit_length() - 1
+    budget = max(4096 * 12, 2 * n * n)
+    assert tab.size <= budget and nc == -(-n // w)
+    # The widest such chunk: one chunk up to DEFAULT_PD_CAP, pairs at 1100.
+    assert w == n or -(-n // (w + 1)) * 2 ** (w + 1) * n > budget
+    assert (nc == 1) == (n <= DEFAULT_PD_CAP) and (n != 1100 or w == 2)
+    assert (tab[:, 0] == _SENTINEL).all()
+    rng = np.random.default_rng(n)
+    for c, m, v in zip(rng.integers(nc, size=50), rng.integers(1, size, 50), rng.integers(n, size=50)):
+        chosen = [u for u in range(c * w, min(c * w + w, n)) if m >> (u - c * w) & 1]
+        assert tab[c, m, v] == min((dist[u, v] for u in chosen), default=_SENTINEL)
 
 
 def test_pd_two_exactly_for_paths_up_to_ten(tree_classes, unicyclic_classes):
