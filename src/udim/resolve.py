@@ -13,7 +13,8 @@ dim search recurses, one level per landmark, carrying each subset prefix's
 AND of tie bitmasks down the walk.  The pd search keeps an explicit stack,
 because a string is as deep as the graph has vertices (1,099 for a path at
 ``--pd-cap 1100``), and hands each string prefix's tails to a vectorized
-evaluator that reads d(v, P) from one subset-distance table per graph.
+evaluator that reads d(v, P) from the prefix's distances and one table per
+level over the subsets of the last s vertices.
 
 The twin order: the pd search builds only partitions whose labels strictly
 increase along each class of distance twins (pairs only their own two
@@ -177,9 +178,9 @@ def _ties(values: np.ndarray) -> np.ndarray:
 def _row_limit(n: int) -> int:
     """_BLOCK, shrinking with n**2 above DEFAULT_PD_CAP so that temporaries
     of rows x n x n entries never outgrow those at n = DEFAULT_PD_CAP: the
-    pairwise ties of a chunk of landmarks, and a pd block's rows x t x n
-    one-hot and rows x nc x n distances gathered from the table's nc chunks
-    (t, nc <= n)."""
+    pairwise ties of a chunk of landmarks, and a pd block's rows x t x s
+    tail masks and rows x t x n distances gathered from the tail table
+    (t, s <= n)."""
     return max(1, min(_BLOCK, _BLOCK * DEFAULT_PD_CAP**2 // n**2))
 
 
@@ -291,8 +292,8 @@ def _rgs_blocks(n: int, t: int, prev: Sequence[int]) -> Iterator[np.ndarray]:
     lexicographic order, as one block per prefix.
 
     Prefix positions are fixed one at a time, each above its previous twin's
-    label, until the t**s bound on the tails of the s positions left is
-    within _row_limit(n); that prefix with its cached completions, less the
+    label, until s = _tail_len(n, t) positions are left, whose t**s tails fit
+    _row_limit(n); that prefix with its cached completions, less the
     rows that break the twin order, is one block, unless no row is left.  So
     a block holds at most _row_limit(n) rows, and a search that stops early
     evaluates no block past the one that holds its witness.
@@ -302,7 +303,7 @@ def _rgs_blocks(n: int, t: int, prev: Sequence[int]) -> Iterator[np.ndarray]:
     positions, deeper than Python's recursion limit.  An entry (fixed, mx,
     val) puts val at position fixed - 1, after its ancestors' values.
     """
-    limit = _row_limit(n)
+    tail = _tail_len(n, t)
     tv = np.flatnonzero(np.array(prev, dtype=np.intp) >= 0)
     tu = np.array(prev, dtype=np.intp)[tv]
     prefix = [0] * n
@@ -311,7 +312,7 @@ def _rgs_blocks(n: int, t: int, prev: Sequence[int]) -> Iterator[np.ndarray]:
         fixed, mx, val = stack.pop()
         prefix[fixed - 1] = val
         s = n - fixed
-        if t**s <= limit:
+        if s == tail:
             tails = _completions(s, mx, t)
             block = np.empty((tails.shape[0], n), dtype=tails.dtype)
             block[:, :fixed] = prefix[:fixed]
@@ -329,27 +330,22 @@ def _rgs_blocks(n: int, t: int, prev: Sequence[int]) -> Iterator[np.ndarray]:
             stack.append((fixed + 1, max(mx, nxt), nxt))
 
 
-def _subset_table(dist: np.ndarray) -> np.ndarray:
-    """tab[c, m, v]: the distance from v to the vertices of chunk c (the w
-    consecutive vertices from c * w on) that the bits of m select, and
-    _SENTINEL for m = 0.  Subsets with top bit b are those below 2**b plus
-    the chunk's b-th vertex, so w minimum steps fill the table.
+def _tail_len(n: int, t: int) -> int:
+    """The tail length of every block at level t: the most s < n with t**s <= _row_limit(n)."""
+    limit, s = _row_limit(n), n - 1
+    while t**s > limit:
+        s -= 1
+    return s
 
-    w is the widest chunk whose table, ceil(n / w) chunks of 2**w subsets,
-    holds at most as many entries as one chunk at DEFAULT_PD_CAP vertices,
-    or 2 n**2 if more: w = n up to DEFAULT_PD_CAP, and w = 1 always fits.
-    No chunk wider than DEFAULT_PD_CAP fits.
-    """
-    n = len(dist)
-    budget = max(2**DEFAULT_PD_CAP * DEFAULT_PD_CAP, 2 * n * n)
-    widths = range(1, min(n, DEFAULT_PD_CAP) + 1)
-    w = max(w for w in widths if -(-n // w) * 2**w * n <= budget)
-    nc = -(-n // w)
-    padded = np.full((nc * w, n), _SENTINEL, dtype=np.int16)
-    padded[:n] = dist
-    tab = np.full((nc, 2**w, n), _SENTINEL, dtype=np.int16)
-    for b in range(w):
-        np.minimum(tab[:, : 2**b], padded[b::w, None], out=tab[:, 2**b : 2 ** (b + 1)])
+
+def _tail_table(dist: np.ndarray, s: int) -> np.ndarray:
+    """tab[m, v]: the distance from v to the last s vertices that the bits of
+    m select (bit b: vertex n - s + b), and _SENTINEL for m = 0.  Subsets with
+    top bit b are those below 2**b plus that vertex, so s minimum steps fill
+    the table."""
+    tab = np.full((2**s, len(dist)), _SENTINEL, dtype=np.int16)
+    for b, row in enumerate(dist[len(dist) - s :]):
+        np.minimum(tab[: 2**b], row, out=tab[2**b : 2 ** (b + 1)])
     return tab
 
 
@@ -364,28 +360,30 @@ def _ranks(code: np.ndarray) -> np.ndarray:
     return code
 
 
-def _eval_block(block: np.ndarray, tab: np.ndarray, t: int, base: int) -> int:
+def _eval_block(block: np.ndarray, dist: np.ndarray, tab: np.ndarray, t: int, base: int) -> int:
     """Index of the first resolving partition in the block, or -1.
 
-    Each row's parts become chunk masks, which read d(v, P_j) from the table
-    as a minimum over the chunks.  The t distances of each vertex fold into
-    one int64 code, code * base + d(v, P_j), base above every distance; a fold
-    that could pass 2**62 first replaces the codes by their ranks in the row.
-    A row resolves iff its sorted codes have no equal neighbours.
+    Every row has exactly t nonempty parts and shares the first n - s labels,
+    s the tail length of ``tab``.  d(v, P_j) is the smaller of the distance
+    to the prefix's part j and the table entry of the row's tail mask for j.
+    The t distances of each vertex fold into one int64 code, code * base +
+    d(v, P_j), base above every distance; a fold that could pass 2**62 first
+    replaces the codes by their ranks.  A row resolves iff its sorted codes
+    have no equal neighbours.
     """
     rows, n = block.shape
-    nc, size, _ = tab.shape
-    w = size.bit_length() - 1
-    onehot = np.zeros((rows, t, nc * w), dtype=bool)
-    onehot[:, :, :n] = block[:, None, :] == np.arange(t, dtype=block.dtype)[:, None]
-    masks = onehot.reshape(rows, t, nc, w) @ (1 << np.arange(w))
-    chunks = np.arange(nc)
+    s = tab.shape[0].bit_length() - 1
+    pre = np.full((t, n), _SENTINEL, dtype=np.int16)
+    np.minimum.at(pre, block[0, : n - s], dist[: n - s])
+    labels = np.arange(t, dtype=block.dtype)[:, None]
+    masks = (block[:, None, n - s :] == labels) @ (1 << np.arange(s))
+    d = np.minimum(tab[masks], pre)
     code = np.zeros((rows, n), dtype=np.int64)
     span = 1  # every code is below span
     for j in range(t):
         if span * base > 2**62:
             code, span = _ranks(code), n
-        code = code * base + tab[chunks, masks[:, j]].min(axis=1)
+        code = code * base + d[:, j]
         span *= base
     code.sort(axis=1)
     ok = (code[:, 1:] != code[:, :-1]).all(axis=1)
@@ -402,10 +400,10 @@ def partition_dimension_exact(
     isomorphic graph: pd is an isomorphism invariant.
 
     For each t the restricted-growth strings with exactly t blocks stream in
-    lexicographic order through the packed-code evaluator, which reads the
-    graph's one subset-distance table; the first resolving one is returned,
-    with parts ordered by smallest element.  The stream skips the strings
-    that break the twin order (module docstring).
+    lexicographic order through the packed-code evaluator, which reads one
+    tail table per level; the first resolving one is returned, with parts
+    ordered by smallest element.  The stream skips the strings that break
+    the twin order (module docstring).
     """
     n = len(dm)
     check_cap(n, cap, "partition-dimension")
@@ -413,10 +411,11 @@ def partition_dimension_exact(
         return (1, OrderedPartition(parts=(frozenset({0}),)))
     dist = np.array(dm, dtype=np.int16)
     bound, prev = _pd_lower_bound(dist)
-    tab, base = _subset_table(dist), int(dist.max()) + 1
+    base = int(dist.max()) + 1
     for t in range(max(bound, start), n + 1):
+        tab = _tail_table(dist, _tail_len(n, t))
         for block in _rgs_blocks(n, t, prev):
-            idx = _eval_block(block, tab, t, base)
+            idx = _eval_block(block, dist, tab, t, base)
             if idx >= 0:
                 parts = [frozenset(np.flatnonzero(block[idx] == j).tolist()) for j in range(t)]
                 return (t, OrderedPartition(parts=tuple(parts)))

@@ -226,9 +226,14 @@ def _free_code(g: Graph) -> Code:
 
 
 def gen_exhaustive_trees(n: int) -> Iterator[Graph]:
-    """One labeled representative of every tree on n vertices up to isomorphism."""
+    """One labeled representative of every tree on n vertices up to
+    isomorphism.  n is checked at the call, before the first tree."""
     if n < 1:
         raise UdimError("trees need at least one vertex")
+    return _tree_classes(n)
+
+
+def _tree_classes(n: int) -> Iterator[Graph]:
     seen: set[tuple] = set()
     for code in _rooted_trees(n):
         edges: list[tuple[int, int]] = []

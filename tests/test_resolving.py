@@ -39,7 +39,9 @@ from udim.resolve import (
     _landmark_ties,
     _pd_lower_bound,
     _rgs_blocks,
-    _subset_table,
+    _row_limit,
+    _tail_len,
+    _tail_table,
     _ties,
 )
 
@@ -504,8 +506,8 @@ def test_rgs_walk_fixes_no_prefix_that_breaks_the_twin_order(monkeypatch, tree_c
 
 
 def test_rgs_blocks_shrink_above_the_default_cap():
-    # A block's rows x t x n one-hot and rows x nc x n distances gathered from
-    # the table's nc chunks (t, nc <= n) stay within rows x n x n at n = 12.
+    # A block's rows x t x s tail masks and rows x t x n distances gathered
+    # from the tail table (t, s <= n) stay within rows x n x n at n = 12.
     for n in (13, 40, 300):
         for block in islice(_rgs_blocks(n, 2, [-1] * n), 50):
             assert 1 <= len(block) and len(block) * n * n <= _BLOCK * DEFAULT_PD_CAP**2
@@ -539,55 +541,75 @@ def _random_rgs(rnd, n, t) -> list[int]:
     return [first.setdefault(label, len(first)) for label in labels]
 
 
-def _assert_eval_block_matches_the_checker(dm, rows, t):
+def _rows_with_tails(rnd, prefix, t, s, count) -> list[list[int]]:
+    # Rows that share the prefix and have exactly t nonempty parts: random
+    # tails of s labels, each label the prefix lacks placed at least once.
+    missing = sorted(set(range(t)) - set(prefix))
+    rows = []
+    for _ in range(count):
+        tail = [rnd.randrange(t) for _ in range(s)]
+        for i, label in zip(rnd.sample(range(s), len(missing)), missing):
+            tail[i] = label
+        rows.append(prefix + tail)
+    return rows
+
+
+def _assert_eval_block_matches_the_checker(dm, rows, t, s):
     block = np.array(rows, dtype=np.min_scalar_type(t - 1))
     dist = np.array(dm, dtype=np.int16)
-    got = _eval_block(block, _subset_table(dist), t, int(dist.max()) + 1)
+    got = _eval_block(block, dist, _tail_table(dist, s), t, int(dist.max()) + 1)
     assert got == _first_row_the_checker_accepts(dm, block, t)
 
 
 @given(connected_graphs(max_n=20), st.randoms(), st.data())
 def test_eval_block_returns_the_first_row_the_checker_accepts(g, rnd, data):
-    # n <= 12 reads one table chunk, n = 13..20 two.  Most levels at t <= 4
-    # mix rows that resolve with rows that do not.
+    # The rows share their first n - s labels, as a block's rows do, and take
+    # their last s from a tail table of up to 2**10 subsets.  Most levels at
+    # t <= 4 mix rows that resolve with rows that do not.
     t = data.draw(st.integers(1, min(g.n, 4)) | st.integers(1, g.n))
-    rows = [_random_rgs(rnd, g.n, t) for _ in range(data.draw(st.integers(1, 12)))]
-    _assert_eval_block_matches_the_checker(all_pairs_distances(g), rows, t)
+    s = data.draw(st.integers(0, min(g.n - 1, 10)))
+    prefix = _random_rgs(rnd, g.n, t)[: g.n - s]
+    rows = _rows_with_tails(rnd, prefix, t, s, data.draw(st.integers(1, 12)))
+    _assert_eval_block_matches_the_checker(all_pairs_distances(g), rows, t, s)
 
 
 @given(st.randoms())
 @settings(max_examples=20)
 def test_eval_block_ranks_codes_that_would_pass_62_bits(rnd):
     # K_{1,40} at t = 40: 40 coordinates of base 3 would need 64 bits.  A row
-    # resolves iff the centre shares its part, so one such row is inserted.
+    # resolves iff the centre shares its part, so the block's prefix is taken
+    # from such a row, which is inserted among random rows sharing it.
     star = all_pairs_distances(graph_from_edges(41, [(0, leaf) for leaf in range(1, 41)]))
-    rows = [_random_rgs(rnd, 41, 40) for _ in range(rnd.randrange(1, 8))]
-    rows.insert(rnd.randrange(len(rows) + 1), [0, 0, *range(1, 40)])
-    _assert_eval_block_matches_the_checker(star, rows, 40)
+    s = rnd.randrange(6)
+    resolving = [0] * 41
+    for label, leaf in enumerate(rnd.sample(range(1, 41), 39), 1):
+        resolving[leaf] = label
+    rows = _rows_with_tails(rnd, resolving[: 41 - s], 40, s, rnd.randrange(1, 8))
+    rows.insert(rnd.randrange(len(rows) + 1), resolving)
+    _assert_eval_block_matches_the_checker(star, rows, 40, s)
     # K_66 has base 2, so unranked codes of its singletons would keep only
     # the last 64 coordinates, and vertices 0 and 1 would tie.
     complete = all_pairs_distances(
         graph_from_edges(66, [(u, v) for v in range(66) for u in range(v)])
     )
-    _assert_eval_block_matches_the_checker(complete, [list(range(66))], 66)
+    _assert_eval_block_matches_the_checker(complete, [list(range(66))], 66, 0)
 
 
 @pytest.mark.parametrize("n", [2, 12, 13, 40, 300, 1100])
-def test_subset_table_is_bounded_and_holds_the_distance_to_each_chunk_subset(n):
+def test_tail_table_is_bounded_and_holds_the_distance_to_each_tail_subset(n):
+    # t = 2 has the longest tail of every level, and 2**s <= t**s fits the
+    # row limit at every t >= 2; a path at n = 1100 leaves no tail.
     dist = np.array(all_pairs_distances(gen_path(n)), dtype=np.int16)
-    tab = _subset_table(dist)
-    nc, size, _ = tab.shape
-    w = size.bit_length() - 1
-    budget = max(4096 * 12, 2 * n * n)
-    assert tab.size <= budget and nc == -(-n // w)
-    # The widest such chunk: one chunk up to DEFAULT_PD_CAP, pairs at 1100.
-    assert w == n or -(-n // (w + 1)) * 2 ** (w + 1) * n > budget
-    assert (nc == 1) == (n <= DEFAULT_PD_CAP) and (n != 1100 or w == 2)
-    assert (tab[:, 0] == _SENTINEL).all()
+    assert all(t ** _tail_len(n, t) <= _row_limit(n) for t in range(2, min(n, 12) + 1))
+    s = _tail_len(n, 2)
+    tab = _tail_table(dist, s)
+    assert tab.shape == (2**s, n) and 2**s <= _row_limit(n)
+    assert (s == n - 1) == (n <= 11) and (n != 1100 or s == 0)
+    assert (tab[0] == _SENTINEL).all()
     rng = np.random.default_rng(n)
-    for c, m, v in zip(rng.integers(nc, size=50), rng.integers(1, size, 50), rng.integers(n, size=50)):
-        chosen = [u for u in range(c * w, min(c * w + w, n)) if m >> (u - c * w) & 1]
-        assert tab[c, m, v] == min((dist[u, v] for u in chosen), default=_SENTINEL)
+    for m, v in zip(rng.integers(2**s, size=50), rng.integers(n, size=50)):
+        chosen = [n - s + b for b in range(s) if m >> b & 1]
+        assert tab[m, v] == min((dist[u, v] for u in chosen), default=_SENTINEL)
 
 
 def test_pd_two_exactly_for_paths_up_to_ten(tree_classes, unicyclic_classes):

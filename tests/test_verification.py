@@ -166,8 +166,7 @@ def test_trees_are_trees_and_distinct():
         (lambda: gen_path(0), "a path needs at least one vertex"),
         (lambda: gen_cycle(2), "a cycle needs at least three vertices"),
         (lambda: gen_random_unicyclic(2, 0), "a unicyclic graph needs at least three vertices"),
-        # A generator function: the check runs when the first tree is drawn.
-        (lambda: next(gen_exhaustive_trees(0)), "trees need at least one vertex"),
+        (lambda: gen_exhaustive_trees(0), "trees need at least one vertex"),
     ],
     ids=["path", "cycle", "random-unicyclic", "exhaustive-trees"],
 )
