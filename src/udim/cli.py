@@ -22,6 +22,7 @@ from .graphs import (
     to_edge_list,
     validate_unicyclic,
 )
+from .invariants import epsilon
 from .resolve import (
     DEFAULT_DIM_CAP,
     DEFAULT_PD_CAP,
@@ -222,7 +223,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         # Not a bound-chain certificate: it lifts the exact pd witness of the
         # minimum-leaf spanning tree.
         check_cap(u.graph.n, args.pd_cap, "partition-dimension")
-        _, tree = u.epsilon
+        _, tree = epsilon(u)
         _, witness = partition_dimension_exact(tree.graph.distances, cap=args.pd_cap)
         cert = lift_tree_partition(u, witness, tree)
     else:

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from .errors import PreconditionError
 from .graphs import DistanceMatrix, SpanningTree, UnicyclicGraph
 from .invariants import (
-    kappa_tau,
+    epsilon,
     pendant_vertices,
     rho,
     support_leaf_groups,
+    terminal_profiles,
     xi_theta,
 )
 from .resolve import (
@@ -131,7 +132,7 @@ def _branch_sets(g, cycle: tuple[int, ...]) -> dict[int, set[int]]:
     Only valid when every exterior major vertex lies on the cycle with degree
     three and terminal degree one; raises PreconditionError otherwise.
     """
-    profiles = g.terminal_profiles
+    profiles = terminal_profiles(g)
     if not any(p.terminal_degree >= 1 for p in profiles):
         raise PreconditionError("graph has no exterior major vertex")
     sets = {c: {c} for c in cycle}
@@ -206,12 +207,12 @@ def kappa_tau_partition(u: UnicyclicGraph) -> CertifiedConstruction:
     and the remainder.
     """
     g = u.graph
-    profiles = [p for p in g.terminal_profiles if p.terminal_degree >= 2]
+    profiles = [p for p in terminal_profiles(g) if p.terminal_degree >= 2]
     if not profiles:
         raise PreconditionError(
             "graph has no exterior major vertex of terminal degree greater than one"
         )
-    kappa, tau = kappa_tau(g)
+    kappa, tau = len(profiles), max(p.terminal_degree for p in profiles)
     dm = g.distances
     s_l = profiles[0].major
     near = min(u.cycle, key=lambda c: (dm[c][s_l], c))
@@ -233,7 +234,7 @@ def xi_theta_partition(u: UnicyclicGraph) -> CertifiedConstruction:
         raise PreconditionError("graph is a cycle; the bound needs a branch vertex")
     g = u.graph
     # A minimum-leaf tree of a non-cycle graph cuts an edge at a vertex of degree >= 3.
-    _, tree = u.epsilon
+    _, tree = epsilon(u)
     groups = support_leaf_groups(tree.graph)
     xi, theta = xi_theta(tree.graph)
     pooled = _pooled([[{leaf} for leaf in groups[s]] for s in sorted(groups)], theta)

@@ -2,10 +2,10 @@
 
 Vertices are dense 0-based integers so that distance matrices can be plain
 index-addressed tuples.  All types are frozen and safe to share across
-workers.  A graph computes its distance matrix and terminal profiles, and a
-unicyclic graph its spanning trees and its minimum-leaf tree, once, on first
-use, and keeps them for its lifetime.  A spanning tree derives its distance
-matrix from its unicyclic graph's instead of running a BFS of its own.
+workers.  A graph keeps its distance matrix, and a unicyclic graph its
+spanning trees, built once on first use; it caches nothing else.  A spanning
+tree derives its distance matrix from its unicyclic graph's instead of
+running a BFS of its own.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -22,9 +22,6 @@ from .errors import (
     GraphFormatError,
     NotUnicyclicError,
 )
-
-if TYPE_CHECKING:
-    from .invariants import TerminalProfile
 
 DistanceMatrix = tuple[tuple[int, ...], ...]
 
@@ -64,13 +61,6 @@ class Graph:
         if self._cut is not None:
             return _tree_distances(*self._cut)
         return all_pairs_distances(self)
-
-    @cached_property
-    def terminal_profiles(self) -> tuple[TerminalProfile, ...]:
-        """invariants.terminal_profiles of this graph, built on first use and kept."""
-        from . import invariants
-
-        return invariants.terminal_profiles(self)
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -211,13 +201,6 @@ class UnicyclicGraph:
     def spanning_trees(self) -> tuple[SpanningTree, ...]:
         """The k spanning trees, built on first use and kept."""
         return spanning_trees(self)
-
-    @cached_property
-    def epsilon(self) -> tuple[int, SpanningTree]:
-        """invariants.epsilon of this graph, computed on first use and kept."""
-        from . import invariants
-
-        return invariants.epsilon(self)
 
 
 def validate_unicyclic(g: Graph) -> UnicyclicGraph:

@@ -96,8 +96,13 @@ def terminal_profiles(g: Graph) -> tuple[TerminalProfile, ...]:
 
 
 def exterior_major_count(g: Graph) -> int:
-    """Number of major vertices with at least one terminal."""
-    return sum(1 for p in g.terminal_profiles if p.terminal_degree >= 1)
+    """Number of major vertices with at least one terminal: the distinct
+    majors that end the pendants' forced walks."""
+    majors = major_vertices(g)
+    if not majors:
+        return 0
+    walks = (_walk_to_major(g, p, majors) for p in pendant_vertices(g))
+    return len({walk[-1] for walk in walks if walk is not None})
 
 
 def rho(g: Graph) -> int:
@@ -110,7 +115,7 @@ def kappa_tau(g: Graph) -> tuple[int, int]:
 
     tau is 0 when no such vertex exists.
     """
-    degrees = [p.terminal_degree for p in g.terminal_profiles if p.terminal_degree >= 2]
+    degrees = [p.terminal_degree for p in terminal_profiles(g) if p.terminal_degree >= 2]
     if not degrees:
         return (0, 0)
     return (len(degrees), max(degrees))
@@ -154,7 +159,7 @@ def graph_invariants(g: Graph, unicyclic: UnicyclicGraph | None = None) -> dict:
     only for trees; they are None when they do not apply.
     """
     k, t = kappa_tau(g)
-    eps, eps_tree = unicyclic.epsilon if unicyclic is not None else (None, None)
+    eps, eps_tree = epsilon(unicyclic) if unicyclic is not None else (None, None)
     xi, theta = xi_theta(g) if is_tree(g) else (None, None)
     return {
         "n1": len(pendant_vertices(g)),

@@ -103,6 +103,15 @@ def _check_partition_shape(dm: DistanceMatrix, p: OrderedPartition) -> None:
         )
 
 
+def _representations(dm: DistanceMatrix, groups: Sequence[Iterable[int]]) -> list[tuple[int, ...]]:
+    """r(v) for every vertex v, in one pass: a group's column of distances
+    is the elementwise minimum of its members' rows (dm is symmetric)."""
+    if not groups:
+        return [()] * len(dm)
+    columns = [tuple(map(min, zip(*(dm[u] for u in g)))) for g in groups]
+    return list(zip(*columns))
+
+
 def partition_representation(
     dm: DistanceMatrix, p: OrderedPartition, v: int
 ) -> tuple[int, ...]:
@@ -111,8 +120,7 @@ def partition_representation(
     if not 0 <= v < n:
         raise InvalidPartitionError(f"vertex {v} outside 0..{n - 1}")
     _check_partition_shape(dm, p)
-    row = dm[v]
-    return tuple(min(row[u] for u in part) for part in p.parts)
+    return _representations(dm, p.parts)[v]
 
 
 def set_representation(
@@ -123,8 +131,7 @@ def set_representation(
     for u in (v, *landmarks):
         if not 0 <= u < n:
             raise InvalidPartitionError(f"vertex {u} outside 0..{n - 1}")
-    row = dm[v]
-    return tuple(row[u] for u in landmarks)
+    return _representations(dm, [(u,) for u in landmarks])[v]
 
 
 def _verdict(vectors: Sequence[tuple[int, ...]]) -> ResolutionWitness:
@@ -144,7 +151,7 @@ def check_resolving_partition(dm: DistanceMatrix, p: OrderedPartition) -> Resolu
     reported.
     """
     _check_partition_shape(dm, p)  # also for a graph with no vertex
-    return _verdict([partition_representation(dm, p, v) for v in range(len(dm))])
+    return _verdict(_representations(dm, p.parts))
 
 
 def check_resolving_set(dm: DistanceMatrix, s: Iterable[int]) -> ResolutionWitness:
@@ -153,7 +160,7 @@ def check_resolving_set(dm: DistanceMatrix, s: Iterable[int]) -> ResolutionWitne
     landmarks = sorted(set(s))
     if landmarks and not (0 <= landmarks[0] and landmarks[-1] < n):
         raise InvalidPartitionError(f"landmark outside 0..{n - 1}")
-    return _verdict([set_representation(dm, landmarks, v) for v in range(n)])
+    return _verdict(_representations(dm, [(u,) for u in landmarks]))
 
 
 def check_cap(n: int, cap: int, solver: str) -> None:

@@ -26,6 +26,7 @@ from .graphs import (
     validate_unicyclic,
 )
 from .invariants import (
+    epsilon,
     exterior_major_count,
     graph_invariants,
     kappa_tau,
@@ -57,29 +58,21 @@ def gen_cycle(n: int) -> UnicyclicGraph:
     """The cycle 0-1-...-(n-1)-0."""
     if n < 3:
         raise UdimError("a cycle needs at least three vertices")
-    edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-    return validate_unicyclic(graph_from_edges(n, edges))
+    return _build_decorated_cycle(n, ((),) * n)
 
 
 def gen_c4k(k: int) -> UnicyclicGraph:
     """A 4-cycle 0-1-2-3 with k pendants 4..3+k attached to vertex 0."""
     if k < 2:
         raise UdimError("gen_c4k needs k >= 2")
-    edges = [(0, 1), (1, 2), (2, 3), (0, 3)] + [(0, 4 + i) for i in range(k)]
-    return validate_unicyclic(graph_from_edges(4 + k, edges))
+    return _build_decorated_cycle(4, (((),) * k, (), (), ()))
 
 
 def gen_sun(k: int) -> UnicyclicGraph:
     """A k-cycle where every cycle vertex carries k pendants (k + k^2 vertices)."""
     if k < 3:
         raise UdimError("gen_sun needs k >= 3")
-    edges = [(i, (i + 1) % k) for i in range(k)]
-    nxt = k
-    for v in range(k):
-        for _ in range(k):
-            edges.append((v, nxt))
-            nxt += 1
-    return validate_unicyclic(graph_from_edges(k + k * k, edges))
+    return _build_decorated_cycle(k, (((),) * k,) * k)
 
 
 def gen_random_unicyclic(n: int, seed: int) -> UnicyclicGraph:
@@ -191,6 +184,8 @@ def _code_edges(root: int, code: Code, label: int, edges: list[tuple[int, int]])
 
 
 def _build_decorated_cycle(k: int, decoration: tuple[Code, ...]) -> UnicyclicGraph:
+    """The cycle 0..k-1 with the rooted tree ``decoration[i]`` hung from
+    cycle vertex i, its other vertices labelled in preorder, tree after tree."""
     edges = [(i, (i + 1) % k) for i in range(k)]
     label = k
     for i, code in enumerate(decoration):
@@ -367,7 +362,7 @@ def bounds_report(
     """
     g = u.graph
     inv = graph_invariants(g, unicyclic=u)
-    _, eps_tree = u.epsilon
+    _, eps_tree = epsilon(u)
     exact = _exact(g, dim_cap, pd_cap)
 
     dim_detail: dict[str, int] = {}

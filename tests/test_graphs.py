@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 
@@ -303,3 +306,16 @@ def test_adjacent_cycle_vertices_split_equal_distance_pairs():
                     for v in range(u + 1, n):
                         if dm[u][x] == dm[v][x]:
                             assert dm[u][y] != dm[v][y]
+
+
+def test_graph_core_imports_nothing_from_invariants():
+    # The invariants import the graph core; an import back would make a cycle.
+    source = Path(udim.graphs.__file__).read_text(encoding="utf-8")
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any("invariants" in name.split(".") for name in names), ast.unparse(node)

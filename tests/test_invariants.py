@@ -65,6 +65,18 @@ def test_terminal_profiles_skip_a_component_without_a_major():
     assert profiles[0].terminals == (1, 2, 3)
 
 
+def test_exterior_major_count_matches_the_profiles(unicyclic_classes, tree_classes):
+    graphs = [gen_path(6), star(4)]
+    for n in range(3, 10):
+        for u in unicyclic_classes[n]:
+            graphs.append(u.graph)
+            graphs.extend(t.graph for t in u.spanning_trees)
+    graphs.extend(t for n in range(1, 10) for t in tree_classes[n])
+    for g in graphs:
+        profiled = sum(p.terminal_degree >= 1 for p in terminal_profiles(g))
+        assert exterior_major_count(g) == profiled
+
+
 def test_terminal_profile_of_c4k_spanning_tree():
     # Deleting the cycle edge (0, 3) leaves a single exterior major vertex.
     u = gen_c4k(2)

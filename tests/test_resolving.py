@@ -169,6 +169,33 @@ def test_non_resolving_verdict_survives_part_permutation():
         assert witness.twins == (0, 2)  # twin choice is part-order independent
 
 
+def _first_twins_by_rows(dm, groups):
+    """The per-vertex rule, kept as the checkers' oracle: r(v) read off row
+    v, then the first pair u < v with r(u) = r(v), or None."""
+    reps = [tuple(min(dm[v][u] for u in group) for group in groups) for v in range(len(dm))]
+    return next(
+        ((u, v) for u, v in combinations(range(len(dm)), 2) if reps[u] == reps[v]), None
+    )
+
+
+@given(connected_graphs(min_n=2, max_n=14), st.randoms())
+def test_checkers_match_the_per_vertex_rule(g, rnd):
+    dm = all_pairs_distances(g)
+    assert check_resolving_set(dm, []).twins == (0, 1)  # no landmark resolves n >= 2
+    t = rnd.randint(1, g.n)
+    labels = [rnd.randrange(t) for _ in range(g.n)]
+    parts = [[v for v in range(g.n) if labels[v] == c] for c in set(labels)]
+    rnd.shuffle(parts)
+    landmarks = rnd.sample(range(g.n), rnd.randint(0, g.n))
+    for witness, groups in (
+        (check_resolving_partition(dm, op(*parts)), parts),
+        (check_resolving_set(dm, landmarks), [[w] for w in sorted(landmarks)]),
+    ):
+        twins = _first_twins_by_rows(dm, groups)
+        assert witness.resolving == (twins is None)
+        assert witness.twins == twins
+
+
 # -- exact metric dimension ----------------------------------------------------
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import sys
 import weakref
 from concurrent.futures import Executor
 from itertools import combinations
@@ -18,6 +19,7 @@ from udim import (
     all_pairs_distances,
     bounds_report,
     conjecture_scan,
+    epsilon,
     gen_c4k,
     gen_cycle,
     gen_exhaustive_trees,
@@ -341,19 +343,23 @@ def test_report_builds_each_distance_matrix_and_the_spanning_trees_once(monkeypa
     assert sorted(counts["derived"]) == list(range(u.k))
 
 
-def test_report_runs_terminal_profiles_once_per_graph(monkeypatch):
+def test_report_profiles_no_spanning_tree_but_the_epsilon_tree(monkeypatch):
     profiled = []
     profiles = udim.invariants.terminal_profiles
 
     def counted(g):
-        profiled.append(g)
+        profiled.append(id(g))
         return profiles(g)
 
-    monkeypatch.setattr(udim.invariants, "terminal_profiles", counted)
+    # The constructions bind the function by name: patch every module that does.
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "udim" and getattr(module, "terminal_profiles", None) is profiles:
+            monkeypatch.setattr(module, "terminal_profiles", counted)
     u = gen_c4k(3)
     bounds_report(u)
-    assert len(profiled) == len(set(map(id, profiled)))
-    assert set(map(id, profiled)) == {id(u.graph)} | {id(t.graph) for t in u.spanning_trees}
+    _, eps_tree = epsilon(u)
+    assert {id(u.graph), id(eps_tree.graph)} <= set(profiled)
+    assert {id(t.graph) for t in u.spanning_trees} & set(profiled) == {id(eps_tree.graph)}
 
 
 def test_tree_report_on_path():
