@@ -109,15 +109,19 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, str]:
 
 def _parse_partition_file(path: str, n: int) -> OrderedPartition:
     parts: list[list[int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                parts.append([int(tok) for tok in line.split()])
-            except ValueError:
-                raise UdimError(f"{path}:{lineno}: non-integer vertex id") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError:
+        raise UdimError(f"{path}: not UTF-8 text") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            parts.append([int(tok) for tok in line.split()])
+        except ValueError:
+            raise UdimError(f"{path}:{lineno}: non-integer vertex id") from None
     if not parts:
         raise UdimError(f"{path}: no parts found")
     for part in parts:

@@ -90,7 +90,10 @@ def parse_edge_list(text: str | bytes) -> Graph:
     hard errors rather than silently merged.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"not UTF-8 text: bad byte at offset {exc.start}") from None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     used: set[int] = set()

@@ -151,15 +151,16 @@ def epsilon(u: UnicyclicGraph) -> tuple[int, SpanningTree]:
     return (leaves, tree)
 
 
-def graph_invariants(g: Graph, unicyclic: UnicyclicGraph | None = None) -> dict:
+def graph_invariants(g: Graph | UnicyclicGraph) -> dict:
     """The counts the bound chain is stated in, as a bounds report's ``invariants``.
 
     ``epsilon`` and the deleted edge of its spanning tree are only defined
     for unicyclic graphs (pass the validated UnicyclicGraph), ``xi``/``theta``
     only for trees; they are None when they do not apply.
     """
+    eps, eps_tree = epsilon(g) if isinstance(g, UnicyclicGraph) else (None, None)
+    g = g.graph if isinstance(g, UnicyclicGraph) else g
     k, t = kappa_tau(g)
-    eps, eps_tree = epsilon(unicyclic) if unicyclic is not None else (None, None)
     xi, theta = xi_theta(g) if is_tree(g) else (None, None)
     return {
         "n1": len(pendant_vertices(g)),

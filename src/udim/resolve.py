@@ -4,8 +4,8 @@ The checkers are deliberately simple and independent of the solvers; every
 construction in the package is post-verified through them.  Both exact
 solvers decide one rule: landmarks or parts resolve the graph iff the
 vectors r(v) are pairwise distinct.  The dim side checks it as ties, no
-vertex pair u < v equal on every landmark (``_ties``); the pd side packs each
-r(v) into one integer code and sorts the codes (``_eval_block``).  They try
+vertex pair u < v equal on every landmark (``_landmark_ties``); the pd side
+packs each r(v) into one integer code and sorts the codes (``_eval_block``).  They try
 landmark subsets, or partitions as restricted-growth strings (the rule is
 invariant under reordering blocks), in lexicographic order, and the first
 resolving one is the witness.  Both walk their prefixes depth-first.  The
@@ -175,13 +175,6 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, 1)
 
 
-def _ties(values: np.ndarray) -> np.ndarray:
-    """For an array whose last axis is indexed by vertex, whether each vertex
-    pair u < v, in np.triu_indices order, gets equal values."""
-    us, vs = _pairs(values.shape[-1])
-    return values[..., us] == values[..., vs]
-
-
 def _row_limit(n: int) -> int:
     """_BLOCK, shrinking with n**2 above DEFAULT_PD_CAP so that temporaries
     of rows x n x n entries never outgrow those at n = DEFAULT_PD_CAP: the
@@ -193,10 +186,11 @@ def _row_limit(n: int) -> int:
 
 def _landmark_ties(dist: np.ndarray) -> Iterator[np.ndarray]:
     """The ties of each landmark's distance row (row w, column p: w ties pair
-    p), in consecutive chunks of at most _row_limit(n) landmarks."""
+    p of _pairs(n)), in consecutive chunks of at most _row_limit(n) landmarks."""
     step = _row_limit(len(dist))
+    us, vs = _pairs(len(dist))
     for i in range(0, len(dist), step):
-        yield _ties(dist[i : i + step])
+        yield dist[i : i + step, us] == dist[i : i + step, vs]
 
 
 def _first_zero_and(

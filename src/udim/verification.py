@@ -26,7 +26,6 @@ from .graphs import (
     validate_unicyclic,
 )
 from .invariants import (
-    epsilon,
     exterior_major_count,
     graph_invariants,
     kappa_tau,
@@ -361,8 +360,10 @@ def bounds_report(
     tags the bound record it certifies.
     """
     g = u.graph
-    inv = graph_invariants(g, unicyclic=u)
-    _, eps_tree = epsilon(u)
+    inv = graph_invariants(u)
+    eps_tree = next(
+        t for t in u.spanning_trees if list(t.deleted_edge) == inv["epsilon_deleted_edge"]
+    )
     exact = _exact(g, dim_cap, pd_cap)
 
     dim_detail: dict[str, int] = {}

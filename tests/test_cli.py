@@ -233,6 +233,30 @@ def test_verify_resolving(tmp_path, capsys):
     assert run(capsys, "verify", str(part), "--gen", "cycle:4")[0] == 0
 
 
+@pytest.mark.skipif(not hasattr(os, "openpty"), reason="needs a pseudo-terminal")
+@pytest.mark.parametrize(
+    "color, line", [(None, b"\x1b[32mresolving: yes\x1b[0m"), ("0", b"resolving: yes")]
+)
+def test_verify_paints_its_verdict_only_on_a_terminal(tmp_path, monkeypatch, color, line):
+    part = tmp_path / "p.txt"
+    part.write_text("0\n1\n2\n3\n")
+    # Undo the autouse no_color fixture where colour is on by default.
+    if color is None:
+        monkeypatch.delenv("UDIM_COLOR")
+    else:
+        monkeypatch.setenv("UDIM_COLOR", color)
+    master, slave = os.openpty()
+    try:
+        with open(slave, "w", closefd=False) as tty:
+            monkeypatch.setattr(sys, "stdout", tty)
+            assert main(["verify", str(part), "--gen", "cycle:4"]) == 0
+        out = os.read(master, 4096)
+    finally:
+        os.close(master)
+        os.close(slave)
+    assert out.splitlines() == [line]
+
+
 def test_verify_not_resolving(tmp_path, capsys):
     part = tmp_path / "p.txt"
     part.write_text("0 2\n1 3\n")
@@ -270,6 +294,22 @@ def test_verify_rejects_a_malformed_partition_file(tmp_path, capsys, text, match
         udim.cli._parse_partition_file(str(part), 4)
     assert main(["verify", str(part), "--gen", "cycle:4"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze"], "not UTF-8 text: bad byte at offset 0"),
+        (["verify", "--gen", "path:2"], "{path}: not UTF-8 text"),
+    ],
+    ids=["analyze", "verify"],
+)
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, argv, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe0 1\n")
+    assert main([argv[0], str(bad), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message.format(path=bad)}\n")
 
 
 def test_scan_exhaustive(capsys):

@@ -52,6 +52,13 @@ def test_parse_accepts_bytes():
     assert parse_edge_list(b"0 1\n1 2\n2 0\n") == parse_edge_list("0 1\n1 2\n2 0")
 
 
+def test_parse_rejects_bytes_that_are_not_utf8():
+    with pytest.raises(GraphFormatError, match="not UTF-8 text: bad byte at offset 0$"):
+        parse_edge_list(b"\xff")
+    with pytest.raises(GraphFormatError, match="offset 4$"):
+        parse_edge_list(b"0 1\n\xfe1 2\n")
+
+
 def test_parse_duplicate_edge_is_error():
     with pytest.raises(GraphFormatError, match="duplicate"):
         parse_edge_list("0 1\n1 0")

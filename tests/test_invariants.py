@@ -222,7 +222,7 @@ def test_non_path_trees_have_an_exterior_major(tree_classes):
 
 def test_graph_invariants_aggregate():
     u = gen_c4k(2)
-    inv = graph_invariants(u.graph, unicyclic=u)
+    inv = graph_invariants(u)
     assert [inv[k] for k in ("n1", "ex", "rho", "kappa", "tau")] == [2, 1, 1, 1, 2]
     assert inv["epsilon"] == 3
     assert inv["xi"] is None  # not a tree
@@ -235,7 +235,7 @@ def test_graph_invariants_aggregate():
 def test_invariant_consistency_on_exhaustive_classes(unicyclic_classes):
     for n in range(3, 9):
         for u in unicyclic_classes[n]:
-            inv = graph_invariants(u.graph, unicyclic=u)
+            inv = graph_invariants(u)
             assert inv["n1"] >= inv["rho"] >= 0
             assert inv["kappa"] <= inv["ex"]
             assert (inv["tau"] == 0) == (inv["kappa"] == 0)

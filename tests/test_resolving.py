@@ -42,7 +42,6 @@ from udim.resolve import (
     _row_limit,
     _tail_len,
     _tail_table,
-    _ties,
 )
 
 from .strategies import connected_graphs, unicyclic_graphs
@@ -346,8 +345,9 @@ def test_landmark_ties_are_bounded_chunks_of_every_row(n):
     dist = np.array(all_pairs_distances(gen_path(n)), dtype=np.int16)
     chunks = list(_landmark_ties(dist))
     assert all(len(c) * n * n <= max(n * n, _BLOCK * DEFAULT_PD_CAP**2) for c in chunks)
+    us, vs = np.triu_indices(n, 1)
     for w in (0, n // 2, n - 1):
-        assert (np.concatenate(chunks)[w] == _ties(dist[w])).all()
+        assert (np.concatenate(chunks)[w] == (dist[w, us] == dist[w, vs])).all()
 
 
 @given(connected_graphs(max_n=6))

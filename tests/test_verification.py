@@ -279,7 +279,7 @@ def test_reports_and_scans_are_their_json_payloads():
     )
     c4k = gen_c4k(2)
     results = [
-        graph_invariants(c4k.graph, unicyclic=c4k),
+        graph_invariants(c4k),
         graph_invariants(c4k.spanning_trees[0].graph),
         bounds_report(gen_c4k(3)),
         tree_report(gen_path(1)),
@@ -360,6 +360,26 @@ def test_report_profiles_no_spanning_tree_but_the_epsilon_tree(monkeypatch):
     _, eps_tree = epsilon(u)
     assert {id(u.graph), id(eps_tree.graph)} <= set(profiled)
     assert {id(t.graph) for t in u.spanning_trees} & set(profiled) == {id(eps_tree.graph)}
+
+
+@pytest.mark.parametrize(
+    "generate, arg, calls", [(gen_c4k, 3, 2), (gen_cycle, 7, 1)], ids=["c4k:3", "cycle:7"]
+)
+def test_report_finds_the_epsilon_tree_once(monkeypatch, generate, arg, calls):
+    # graph_invariants finds T* for the report; xi_theta_partition finds it
+    # once more, except on a cycle graph, where its precondition fails first.
+    found = []
+    original = udim.invariants.epsilon
+
+    def counted(u):
+        found.append(u)
+        return original(u)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "udim" and getattr(module, "epsilon", None) is original:
+            monkeypatch.setattr(module, "epsilon", counted)
+    bounds_report(generate(arg))
+    assert len(found) == calls
 
 
 def test_tree_report_on_path():
